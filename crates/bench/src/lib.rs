@@ -27,6 +27,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use imars_serve::telemetry::escape;
+
 pub mod gate;
 
 pub use std::hint::black_box;
@@ -249,10 +251,6 @@ impl Harness {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,8 +300,31 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
+    /// A name with control characters must come out as escapes (raw ones inside a
+    /// string literal are not JSON) and read back unchanged through the gate's parser.
     #[test]
-    fn escape_handles_quotes_and_backslashes() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+    fn json_summary_round_trips_control_characters_through_the_gate_parser() {
+        use gate::Json;
+        let suite = "suite\nwith\tcontrols\u{1}";
+        let mut harness = Harness::new(suite, true);
+        harness.bench("bench\none", || {});
+        harness.metric("metric\tname", 1.0, "unit\u{1}");
+        let json = harness.to_json();
+        assert!(json.contains(r"suite\nwith\tcontrols\u0001"));
+        assert!(!json.contains(suite));
+        let root = Json::parse(&json).expect("the summary is valid JSON");
+        assert_eq!(root.get("suite").and_then(Json::as_str), Some(suite));
+        let first_of = |section: &str| &root.get(section).and_then(Json::as_arr).unwrap()[0];
+        let result = first_of("results");
+        assert_eq!(
+            result.get("name").and_then(Json::as_str),
+            Some("bench\none")
+        );
+        let metric = first_of("metrics");
+        assert_eq!(
+            metric.get("name").and_then(Json::as_str),
+            Some("metric\tname")
+        );
+        assert_eq!(metric.get("unit").and_then(Json::as_str), Some("unit\u{1}"));
     }
 }

@@ -17,6 +17,7 @@ use std::path::PathBuf;
 
 use imars_fabric::Cost;
 use imars_gpu::GpuCost;
+use imars_serve::telemetry::escape;
 
 /// A configuration value: numeric axes (array size, radius, ...) or discrete labels
 /// (workload names, placement policies).
@@ -235,24 +236,6 @@ pub fn format_number(value: f64) -> String {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One axis of a design-space sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepAxis {
@@ -399,10 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_quotes_backslashes_and_control_characters() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("line1\nline2\tend\r"), "line1\\nline2\\tend\\r");
-        assert_eq!(escape("bell\u{7}"), "bell\\u0007");
+    fn study_json_escapes_control_characters() {
         let mut study = Study::new("escape_probe", 0);
         study.note("multi", "first\nsecond");
         let json = study.to_json();

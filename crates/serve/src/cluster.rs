@@ -67,7 +67,7 @@ use crate::error::ServeError;
 use crate::metrics::ShardFaultDelta;
 use crate::placement::{Placement, ShardPlan};
 use crate::queue::{BoundedQueue, Pop, PushError};
-use crate::shard::{pool_from_staging, Lane, RowSource};
+use crate::shard::{Flight, Lane, RowSource, ShardTopology};
 use crate::telemetry::ClusterStats;
 use crate::trace::{FetchEvent, FetchEventKind, NodeSpan, NodeSpanRecord};
 use crate::transport::{self, SocketLink};
@@ -823,11 +823,11 @@ pub struct ClusterClient<T> {
     timeout_strikes: Vec<u32>,
     /// Row ids degraded to zero-filled lookups since the engine last collected them.
     missing: Vec<u32>,
-    /// Armed per traced batch via [`RowSource::trace_arm`], drained by
-    /// [`RowSource::trace_drain`]; `None` (the untraced default) records nothing.
+    /// Armed per traced batch via [`ShardTopology::trace_arm`], drained by
+    /// [`ShardTopology::trace_drain`]; `None` (the untraced default) records nothing.
     trace: Option<TraceSink>,
     /// Per-shard fault deltas since the engine last drained them
-    /// ([`RowSource::take_fault_deltas`]). Buffered per router clone — never read
+    /// ([`ShardTopology::take_fault_deltas`]). Buffered per router clone — never read
     /// from the shared atomics, whose deltas would race across worker clones — so
     /// the metrics plane's per-window attribution stays deterministic.
     fault_window: Vec<ShardFaultDelta>,
@@ -892,19 +892,6 @@ impl<T: Lane> ClusterClient<T> {
     /// A snapshot of the shared cluster counters.
     pub fn stats(&self) -> ClusterStats {
         self.counters.snapshot()
-    }
-
-    pub(crate) fn counters(&self) -> Arc<ClusterCounters> {
-        self.counters.clone()
-    }
-
-    /// Drain the interconnect cost accumulated since the last call (the engine charges
-    /// it to its telemetry next to the GPCiM components).
-    pub(crate) fn take_interconnect(&mut self) -> (Cost, CostBreakdown) {
-        (
-            std::mem::take(&mut self.pending_cost),
-            std::mem::take(&mut self.pending_breakdown),
-        )
     }
 
     /// Test hook: poison the next fetch's sub-requests so the serving workers panic.
@@ -1308,14 +1295,6 @@ impl<T: Lane> ClusterClient<T> {
 }
 
 impl<T: Lane> RowSource<T> for ClusterClient<T> {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn check_indices(&self, indices: &[u32]) -> Result<(), ServeError> {
-        self.plan.check_indices(indices)
-    }
-
     fn fetch_rows(&mut self, work: Vec<(u32, &mut [T])>) -> Result<(), ServeError> {
         if work.is_empty() {
             return Ok(());
@@ -1330,6 +1309,65 @@ impl<T: Lane> RowSource<T> for ClusterClient<T> {
         } else {
             self.fetch_rows_strict(work)
         }
+    }
+
+    fn pool_direct(&mut self, batch: &PoolingBatch, out: &mut [T]) -> Result<(), ServeError> {
+        if out.len() != batch.len() * self.dim {
+            return Err(ServeError::ShapeMismatch {
+                what: "batch pooling output",
+                expected: batch.len() * self.dim,
+                actual: out.len(),
+            });
+        }
+        self.check_indices(batch.indices())?;
+        // Nothing probes on the cache-off path, so every lookup joins the flight table:
+        // the routed traffic (and its bus charge) counts each unique row once per
+        // batch and cache-off interconnect numbers stay comparable to cache-on ones.
+        Flight::fetch(self, batch, |_, _| false, None)?.pool(batch.offsets(), out);
+        Ok(())
+    }
+
+    fn clone_box(&self) -> Box<dyn RowSource<T>> {
+        Box::new(self.clone())
+    }
+}
+
+impl<T: Lane> ShardTopology for ClusterClient<T> {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn check_indices(&self, indices: &[u32]) -> Result<(), ServeError> {
+        self.plan.check_indices(indices)
+    }
+
+    fn num_shards(&self) -> usize {
+        self.plan.num_shards()
+    }
+
+    fn home_shard(&self, history: &[u32]) -> usize {
+        self.plan.home_shard(history.iter().copied())
+    }
+
+    fn node_cache_stats(&self) -> CacheStats {
+        self.counters.node_cache_stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.counters.reset();
+    }
+
+    /// Drain the interconnect cost accumulated since the last call (the engine charges
+    /// it to its telemetry next to the GPCiM components).
+    fn take_interconnect(&mut self) -> (Cost, CostBreakdown) {
+        (
+            std::mem::take(&mut self.pending_cost),
+            std::mem::take(&mut self.pending_breakdown),
+        )
+    }
+
+    fn cluster_counters(&self) -> Option<Arc<ClusterCounters>> {
+        Some(self.counters.clone())
     }
 
     fn take_missing(&mut self) -> Vec<u32> {
@@ -1367,51 +1405,6 @@ impl<T: Lane> RowSource<T> for ClusterClient<T> {
             &mut self.fault_window,
             vec![ShardFaultDelta::default(); shards],
         )
-    }
-
-    fn pool_direct(&mut self, batch: &PoolingBatch, out: &mut [T]) -> Result<(), ServeError> {
-        if out.len() != batch.len() * self.dim {
-            return Err(ServeError::ShapeMismatch {
-                what: "batch pooling output",
-                expected: batch.len() * self.dim,
-                actual: out.len(),
-            });
-        }
-        self.check_indices(batch.indices())?;
-        // Coalesce repeated rows onto a single fetch, exactly like the cached path's
-        // in-flight coalescing: duplicates are copied from the first occurrence's
-        // staging slot, so the routed traffic (and its bus charge) counts each unique
-        // row once per batch and cache-off interconnect numbers stay comparable to
-        // cache-on ones.
-        let dim = self.dim;
-        let mut staging = vec![T::default(); batch.total_lookups() * dim];
-        let mut duplicates: Vec<(usize, usize)> = Vec::new();
-        {
-            let mut first_position: HashMap<u32, usize> = HashMap::new();
-            let mut unique: Vec<(u32, &mut [T])> = Vec::new();
-            for ((position, &row), chunk) in batch
-                .indices()
-                .iter()
-                .enumerate()
-                .zip(staging.chunks_mut(dim))
-            {
-                match first_position.entry(row) {
-                    std::collections::hash_map::Entry::Occupied(entry) => {
-                        duplicates.push((position, *entry.get()));
-                    }
-                    std::collections::hash_map::Entry::Vacant(entry) => {
-                        entry.insert(position);
-                        unique.push((row, chunk));
-                    }
-                }
-            }
-            self.fetch_rows(unique)?;
-        }
-        for &(destination, source) in &duplicates {
-            staging.copy_within(source * dim..(source + 1) * dim, destination * dim);
-        }
-        pool_from_staging(&staging, self.dim, batch.offsets(), out);
-        Ok(())
     }
 }
 
@@ -1774,10 +1767,11 @@ pub struct ClusterOptions {
     pub chaos: Option<Arc<ChaosPlan>>,
     /// Deadline source for the router's resilient path ([`WallClock`] by default).
     pub clock: Option<Arc<dyn Clock>>,
-    /// Give every shard node its own hot-row cache (in-process workers share one per
-    /// shard; socket nodes are armed with a `CACHE` frame). `None` — and a zero
-    /// capacity — leave the nodes uncached.
-    pub node_cache: Option<NodeCacheConfig>,
+    /// Every shard node's own hot-row cache (in-process workers share one per shard;
+    /// socket nodes are armed with a `CACHE` frame); `None` — and a zero capacity —
+    /// leave the nodes uncached. Derived, not set: the engine constructors fill it from
+    /// [`ServeConfig`](crate::engine::ServeConfig)'s cache placement and budget.
+    pub(crate) node_cache: Option<NodeCacheConfig>,
 }
 
 /// Spawn the shard nodes for a catalogue and hand back a router plus the owning handle.
@@ -2051,6 +2045,37 @@ mod tests {
         }
     }
 
+    /// One in-thread [`transport::run_shard_node`] per shard on fresh socket paths,
+    /// returned once every node accepts connections.
+    #[allow(clippy::type_complexity)]
+    fn spawn_uds_nodes(
+        label: &str,
+        shards: usize,
+    ) -> (
+        Vec<PathBuf>,
+        Vec<std::thread::JoinHandle<std::io::Result<()>>>,
+    ) {
+        let sockets: Vec<PathBuf> = (0..shards)
+            .map(|shard| transport::socket_path(label, shard))
+            .collect();
+        let nodes = sockets
+            .iter()
+            .cloned()
+            .map(|path| std::thread::spawn(move || transport::run_shard_node(&path)))
+            .collect();
+        for path in &sockets {
+            let started = Instant::now();
+            while std::os::unix::net::UnixStream::connect(path).is_err() {
+                assert!(
+                    started.elapsed() < Duration::from_secs(10),
+                    "shard node never came up on {path:?}"
+                );
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        (sockets, nodes)
+    }
+
     #[test]
     fn config_validation_rejects_zero_fields() {
         assert!(ClusterConfig::new(0, Placement::Range).is_err());
@@ -2253,14 +2278,30 @@ mod tests {
             )
             .unwrap();
             let expected = reference.replay(&workload).unwrap();
-            for (shards, workers) in [(2usize, 1usize), (8, 4)] {
-                let (engine, handle) = ServeEngine::new_clustered(
-                    Dlrm::new(DlrmConfig::tiny()).unwrap(),
-                    &table,
-                    serve_config(64, precision),
-                    &cluster_config(shards, workers),
-                    None,
-                )
+            // The last row runs over Unix sockets with the cache at the shard nodes, in
+            // int8 only: the one store shape no benchmark workload builds, with the
+            // runtime's engine clones re-dialing the sockets through the boxed source.
+            for (shards, workers, uds) in [(2usize, 1usize, false), (8, 4, false), (2, 1, true)] {
+                if uds && precision != ServePrecision::Int8 {
+                    continue;
+                }
+                let cluster = cluster_config(shards, workers);
+                let model = Dlrm::new(DlrmConfig::tiny()).unwrap();
+                let mut config = serve_config(64, precision);
+                let (sockets, nodes) = if uds {
+                    config.cache_placement = crate::cache::CachePlacement::Shard;
+                    spawn_uds_nodes("threaded-matrix-test", shards)
+                } else {
+                    (Vec::new(), Vec::new())
+                };
+                let (engine, handle) = if uds {
+                    let options = ClusterOptions::default();
+                    ServeEngine::new_clustered_sockets(
+                        model, &table, config, &cluster, None, &sockets, options,
+                    )
+                } else {
+                    ServeEngine::new_clustered(model, &table, config, &cluster, None)
+                }
                 .unwrap();
                 let clock = Arc::new(ManualClock::new());
                 let runtime = ServeRuntime::start(
@@ -2286,7 +2327,7 @@ mod tests {
                     assert_eq!(
                         a.score.to_bits(),
                         b.score.to_bits(),
-                        "query {} ({precision:?}, {shards} shards x {workers} workers, manual clock)",
+                        "query {} ({precision:?}, {shards} shards x {workers} workers, uds {uds}, manual clock)",
                         a.id
                     );
                     assert_eq!(a.candidates, b.candidates);
@@ -2296,7 +2337,11 @@ mod tests {
                     .cluster
                     .expect("cluster stats in threaded report");
                 assert!(stats.fetches > 0);
+                drop(engine); // hang the links up before the nodes are told to exit
                 handle.shutdown().unwrap();
+                for node in nodes {
+                    node.join().unwrap().unwrap();
+                }
             }
         }
     }
@@ -2993,24 +3038,7 @@ mod tests {
         oracle.enable_tracing(trace_config);
         let expected = oracle.replay(&workload).unwrap();
         oracle_handle.shutdown().unwrap();
-        let sockets: Vec<PathBuf> = (0..cluster.shards)
-            .map(|shard| transport::socket_path("cluster-replay-test", shard))
-            .collect();
-        let nodes: Vec<_> = sockets
-            .iter()
-            .cloned()
-            .map(|path| std::thread::spawn(move || transport::run_shard_node(&path)))
-            .collect();
-        for path in &sockets {
-            let started = Instant::now();
-            while std::os::unix::net::UnixStream::connect(path).is_err() {
-                assert!(
-                    started.elapsed() < Duration::from_secs(10),
-                    "shard node never came up on {path:?}"
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
+        let (sockets, nodes) = spawn_uds_nodes("cluster-replay-test", cluster.shards);
         let (mut engine, handle) = ServeEngine::new_clustered_sockets(
             Dlrm::new(DlrmConfig::tiny()).unwrap(),
             &table,
@@ -3133,24 +3161,7 @@ mod tests {
         check(&inproc_outcome, "(in-process)");
         inproc_handle.shutdown().unwrap();
 
-        let sockets: Vec<PathBuf> = (0..cluster.shards)
-            .map(|shard| transport::socket_path("node-cache-test", shard))
-            .collect();
-        let nodes: Vec<_> = sockets
-            .iter()
-            .cloned()
-            .map(|path| std::thread::spawn(move || transport::run_shard_node(&path)))
-            .collect();
-        for path in &sockets {
-            let started = Instant::now();
-            while std::os::unix::net::UnixStream::connect(path).is_err() {
-                assert!(
-                    started.elapsed() < Duration::from_secs(10),
-                    "shard node never came up on {path:?}"
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
+        let (sockets, nodes) = spawn_uds_nodes("node-cache-test", cluster.shards);
         let (mut uds, uds_handle) = ServeEngine::new_clustered_sockets(
             Dlrm::new(DlrmConfig::tiny()).unwrap(),
             &table,

@@ -41,17 +41,16 @@ use crate::batcher::{BatchPolicy, DynamicBatcher, FlushedBatch};
 use crate::cache::{CachePlacement, CachePolicy, CacheStats, HotRowCache};
 use crate::clock::Clock;
 use crate::cluster::{
-    connect_cluster, spawn_cluster_with, ClusterClient, ClusterConfig, ClusterCounters,
-    ClusterHandle, ClusterOptions, NodeCacheConfig,
+    connect_cluster, spawn_cluster_with, ClusterConfig, ClusterHandle, ClusterOptions,
+    NodeCacheConfig,
 };
 use crate::error::ServeError;
 use crate::metrics::{MetricsConfig, MetricsScraper};
 use crate::placement::ShardPlan;
 use crate::replay::ReplayWorkload;
-use crate::shard::{shard_embedding, Lane, RowSource, ShardedTable};
-use crate::telemetry::{ClusterStats, ServeReport, ServeTelemetry};
+use crate::shard::{traced_fetch, Flight, Lane, RowSource, ShardTopology, ShardedTable};
+use crate::telemetry::{ClusterStats, RuntimeStats, ServeReport, ServeTelemetry};
 use crate::trace::{BatchScratch, PoolTrace, TraceConfig, TraceLog, Tracer};
-use imars_fabric::cost::CostBreakdown;
 use std::sync::Arc;
 
 /// Numeric format of the item embedding rows the engine serves from.
@@ -127,19 +126,14 @@ impl ServeConfig {
         }
     }
 
-    /// Per-shard-node cache capacity: the total budget split evenly (rounded up) over
-    /// the `shards` actually built. Zero unless the layout is [`CachePlacement::Shard`].
-    fn node_cache_capacity(&self, shards: usize) -> usize {
-        match self.cache_placement {
+    /// The per-shard-node cache both topologies install: the total budget split evenly
+    /// (rounded up) over the `shards` actually built. `None` when the cache stays at the
+    /// router or the budget is zero.
+    fn node_cache_config(&self, shards: usize) -> Option<NodeCacheConfig> {
+        let capacity = match self.cache_placement {
             CachePlacement::Router => 0,
             CachePlacement::Shard => self.cache_capacity.div_ceil(shards.max(1)),
-        }
-    }
-
-    /// The node-cache configuration the cluster constructors hand to the shard nodes
-    /// (`None` when the cache stays at the router or the budget is zero).
-    fn node_cache_config(&self, shards: usize) -> Option<NodeCacheConfig> {
-        let capacity = self.node_cache_capacity(shards);
+        };
         (capacity > 0).then_some(NodeCacheConfig {
             capacity,
             policy: self.cache_policy,
@@ -189,37 +183,191 @@ pub struct ReplayOutcome {
     pub trace: TraceLog,
 }
 
-/// The sharded + cached item row store: in-process shards or a multi-node cluster, in
-/// one of the two served precisions.
+/// The cached item row store at one precision: a row source — in-process shards or a
+/// cluster router, chosen at construction and never matched on afterwards — fronted by
+/// the router-side hot-row cache.
 #[derive(Debug, Clone)]
-enum ItemStore {
-    Fp32 {
-        shards: ShardedTable<f32>,
-        cache: HotRowCache<f32>,
-    },
-    Int8 {
-        shards: ShardedTable<i8>,
-        cache: HotRowCache<i8>,
-        params: QuantizationParams,
-    },
-    ClusterFp32 {
-        client: ClusterClient<f32>,
-        cache: HotRowCache<f32>,
-    },
-    ClusterInt8 {
-        client: ClusterClient<i8>,
-        cache: HotRowCache<i8>,
-        params: QuantizationParams,
+struct Store<T: Lane> {
+    source: Box<dyn RowSource<T>>,
+    cache: HotRowCache<T>,
+}
+
+/// Where a constructor wants the catalogue rows to live.
+enum Topology<'a> {
+    /// [`ServeConfig::shards`] in-process shards viewing the arena.
+    InProcess,
+    /// Shard nodes behind a cluster router: in-process worker threads, or (with
+    /// `sockets`) separate processes behind Unix-domain sockets.
+    Cluster {
+        cluster: &'a ClusterConfig,
+        histogram: Option<&'a [u64]>,
+        sockets: Option<&'a [std::path::PathBuf]>,
+        options: ClusterOptions,
     },
 }
 
+impl<T: Lane> Store<T> {
+    /// Put the catalogue `arena` behind the row source `topology` asks for and front it
+    /// with the router cache. A cluster topology also returns the handle owning its
+    /// shard nodes.
+    fn build(
+        arena: RowArena<T>,
+        config: &ServeConfig,
+        topology: Topology<'_>,
+    ) -> Result<(Self, Option<ClusterHandle>), ServeError> {
+        let dim = arena.dim();
+        let (source, handle): (Box<dyn RowSource<T>>, _) = match topology {
+            Topology::InProcess => {
+                let mut shards = ShardedTable::from_arena(arena, config.shards)?;
+                if let Some(cache) = config.node_cache_config(shards.num_shards()) {
+                    shards.install_node_caches(cache.capacity, cache.policy);
+                }
+                (Box::new(shards), None)
+            }
+            Topology::Cluster {
+                cluster,
+                histogram,
+                sockets,
+                mut options,
+            } => {
+                let plan = ShardPlan::build(
+                    arena.rows(),
+                    cluster.shards,
+                    cluster.placement,
+                    cluster.hot_replicas,
+                    histogram,
+                )?;
+                options.node_cache = config.node_cache_config(plan.num_shards());
+                let (client, handle) = match sockets {
+                    None => spawn_cluster_with(&arena, plan, cluster, options)?,
+                    Some(sockets) => connect_cluster(&arena, plan, cluster, sockets, options)?,
+                };
+                (Box::new(client), Some(handle))
+            }
+        };
+        let cache =
+            HotRowCache::with_policy(config.router_cache_capacity(), dim, config.cache_policy);
+        Ok((Self { source, cache }, handle))
+    }
+
+    /// Pool a CSR batch through the cache and the row source: probe the cache per
+    /// lookup in flat order (copying hits into a staging buffer), coalesce repeated
+    /// misses of one row onto a single in-flight fetch, fetch the unique misses from
+    /// the source, insert the fetched rows into the cache, then sum-pool each request
+    /// from the staging buffer in request order.
+    ///
+    /// Accumulation order is always the request's index order, and cached rows are
+    /// exact copies of source rows, so the pooled profiles are bit-identical with the
+    /// cache on, off, or at any capacity — and identical across the single-node and
+    /// cluster sources.
+    ///
+    /// Returns the rows the source reported missing (zero-filled by a degraded
+    /// cluster; empty outside one). A missing row contributes zero to its pools and is
+    /// **never** admitted to the cache: degradation must stay transient, not poison
+    /// future batches after the shard recovers. `trace`, when set, captures the fetch
+    /// window and the router's per-sub-request events for the batch; `None` leaves the
+    /// pooling path byte-identical to the untraced engine.
+    fn pool_profiles(
+        &mut self,
+        batch: &PoolingBatch,
+        profiles: &mut [T],
+        mut trace: Option<&mut PoolTrace>,
+    ) -> Result<Vec<u32>, ServeError> {
+        let Self { source, cache } = self;
+        let source = source.as_mut();
+        let dim = source.dim();
+        if profiles.len() != batch.len() * dim {
+            return Err(ServeError::ShapeMismatch {
+                what: "pooled profile buffer",
+                expected: batch.len() * dim,
+                actual: profiles.len(),
+            });
+        }
+        let lookups = batch.total_lookups() as u64;
+        if cache.capacity() == 0 && !source.node_cached() {
+            // Disabled-cache fast path: pool straight off the source, zero cache probes.
+            // Counted as all-miss so hit-rate reporting stays comparable across configs.
+            // Sources with per-shard-node caches skip this: they still want the router's
+            // capacity-0 cache as the miss-coalescing ledger, so each unique row is
+            // fetched (and counted at the nodes) exactly once per batch.
+            if let Some(trace) = trace.as_deref_mut() {
+                trace.misses = lookups;
+            }
+            traced_fetch(source, trace, |source| source.pool_direct(batch, profiles))?;
+            cache.record_misses(lookups);
+            return Ok(source.take_missing());
+        }
+        source.check_indices(batch.indices())?;
+        let flight = Flight::fetch(
+            source,
+            batch,
+            |row, chunk| match cache.lookup(row) {
+                Some(data) => {
+                    chunk.copy_from_slice(data);
+                    true
+                }
+                None => false,
+            },
+            trace.as_deref_mut(),
+        )?;
+        // Every repeated miss was counted as one by its probe, but rode an earlier
+        // fetch of the same row instead of causing its own.
+        for _ in 0..flight.coalesced.len() {
+            cache.coalesce_last_miss();
+        }
+        if let Some(trace) = trace {
+            trace.misses = flight.fetched.len() as u64;
+            trace.coalesced = flight.coalesced.len() as u64;
+            trace.hits = lookups - trace.misses - trace.coalesced;
+        }
+        // Admit the fetched rows, in lookup order so CLOCK state stays deterministic —
+        // except rows a degraded cluster zero-filled, which must not be cached.
+        let missing = source.take_missing();
+        let degraded: std::collections::HashSet<u32> = missing.iter().copied().collect();
+        for &(row, position) in &flight.fetched {
+            if !degraded.contains(&row) {
+                cache.insert(row, flight.row(position));
+            }
+        }
+        flight.pool(batch.offsets(), profiles);
+        Ok(missing)
+    }
+}
+
+/// The item row store in one of the two served precisions — the engine's only store
+/// enum. Everything but [`ItemStore::pool_dense`] asks the same question of either
+/// precision's [`Store`].
+#[derive(Debug, Clone)]
+enum ItemStore {
+    Fp32(Store<f32>),
+    /// Int8 rows plus the parameters that dequantize their pooled sums.
+    Int8(Store<i8>, QuantizationParams),
+}
+
 impl ItemStore {
-    fn num_shards(&self) -> usize {
+    /// The precision-independent face of the row source.
+    fn source(&self) -> &dyn ShardTopology {
         match self {
-            ItemStore::Fp32 { shards, .. } => shards.num_shards(),
-            ItemStore::Int8 { shards, .. } => shards.num_shards(),
-            ItemStore::ClusterFp32 { client, .. } => client.plan().num_shards(),
-            ItemStore::ClusterInt8 { client, .. } => client.plan().num_shards(),
+            ItemStore::Fp32(store) => store.source.as_ref(),
+            ItemStore::Int8(store, _) => store.source.as_ref(),
+        }
+    }
+
+    fn source_mut(&mut self) -> &mut dyn ShardTopology {
+        match self {
+            ItemStore::Fp32(store) => store.source.as_mut(),
+            ItemStore::Int8(store, _) => store.source.as_mut(),
+        }
+    }
+
+    /// Router-side cache counters only. The metrics plane's per-window cache
+    /// attribution reads these instead of [`ItemStore::cache_stats`]: the node-cache
+    /// counters are shared atomics that other worker clones mutate concurrently, so
+    /// folding them into a window would make the per-window split nondeterministic.
+    fn router_cache_stats(&self) -> CacheStats {
+        match self {
+            ItemStore::Fp32(store) => store.cache.stats(),
+            ItemStore::Int8(store, _) => store.cache.stats(),
         }
     }
 
@@ -230,16 +378,7 @@ impl ItemStore {
     /// the GPCiM cost model charges a CMA RAM read for. With node caches off the node
     /// side is all-zero and this degenerates to the router cache's own counters.
     fn cache_stats(&self) -> CacheStats {
-        let (router, node) = match self {
-            ItemStore::Fp32 { shards, cache } => (cache.stats(), shards.node_cache_stats()),
-            ItemStore::Int8 { shards, cache, .. } => (cache.stats(), shards.node_cache_stats()),
-            ItemStore::ClusterFp32 { client, cache } => {
-                (cache.stats(), client.counters().node_cache_stats())
-            }
-            ItemStore::ClusterInt8 { client, cache, .. } => {
-                (cache.stats(), client.counters().node_cache_stats())
-            }
-        };
+        let (router, node) = (self.router_cache_stats(), self.source().node_cache_stats());
         CacheStats {
             hits: router.hits + node.hits,
             coalesced: router.coalesced + node.coalesced,
@@ -254,117 +393,14 @@ impl ItemStore {
 
     fn reset_cache_stats(&mut self) {
         match self {
-            ItemStore::Fp32 { shards, cache } => {
-                cache.reset_stats();
-                shards.reset_node_cache_stats();
-            }
-            ItemStore::Int8 { shards, cache, .. } => {
-                cache.reset_stats();
-                shards.reset_node_cache_stats();
-            }
-            ItemStore::ClusterFp32 { client, cache } => {
-                cache.reset_stats();
-                client.counters().reset();
-            }
-            ItemStore::ClusterInt8 { client, cache, .. } => {
-                cache.reset_stats();
-                client.counters().reset();
-            }
+            ItemStore::Fp32(store) => store.cache.reset_stats(),
+            ItemStore::Int8(store, _) => store.cache.reset_stats(),
         }
+        self.source_mut().reset_stats();
     }
 
-    /// The interconnect cost the cluster accumulated since the last collection (zero
-    /// for in-process stores).
-    fn take_interconnect(&mut self) -> (Cost, CostBreakdown) {
-        match self {
-            ItemStore::ClusterFp32 { client, .. } => client.take_interconnect(),
-            ItemStore::ClusterInt8 { client, .. } => client.take_interconnect(),
-            _ => (Cost::ZERO, CostBreakdown::new()),
-        }
-    }
-
-    /// Router-side cache counters only. The metrics plane's per-window cache
-    /// attribution reads these instead of [`ItemStore::cache_stats`]: the node-cache
-    /// counters are shared atomics that other worker clones mutate concurrently, so
-    /// folding them into a window would make the per-window split nondeterministic.
-    fn router_cache_stats(&self) -> CacheStats {
-        match self {
-            ItemStore::Fp32 { cache, .. } => cache.stats(),
-            ItemStore::Int8 { cache, .. } => cache.stats(),
-            ItemStore::ClusterFp32 { cache, .. } => cache.stats(),
-            ItemStore::ClusterInt8 { cache, .. } => cache.stats(),
-        }
-    }
-
-    /// Drain the router clone's per-shard fault deltas (empty for in-process stores
-    /// and fault-free batches).
-    fn take_fault_deltas(&mut self) -> Vec<crate::metrics::ShardFaultDelta> {
-        match self {
-            ItemStore::ClusterFp32 { client, .. } => client.take_fault_deltas(),
-            ItemStore::ClusterInt8 { client, .. } => client.take_fault_deltas(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// A snapshot of the cluster counters (None for in-process stores).
-    fn cluster_stats(&self) -> Option<ClusterStats> {
-        match self {
-            ItemStore::ClusterFp32 { client, .. } => Some(client.stats()),
-            ItemStore::ClusterInt8 { client, .. } => Some(client.stats()),
-            _ => None,
-        }
-    }
-
-    /// The shared cluster counters, for reporters that outlive this engine clone.
-    pub(crate) fn cluster_counters(&self) -> Option<Arc<ClusterCounters>> {
-        match self {
-            ItemStore::ClusterFp32 { client, .. } => Some(client.counters()),
-            ItemStore::ClusterInt8 { client, .. } => Some(client.counters()),
-            _ => None,
-        }
-    }
-
-    /// The home shard of one request's history (shard-aware batching): the shard owning
-    /// most of its rows, ties toward the lower shard id. Matches
-    /// [`ShardPlan::home_shard`] on cluster stores so request groups land where their
-    /// sub-batches would route anyway.
-    fn home_shard(&self, history: &[u32]) -> usize {
-        fn majority(shards: impl Iterator<Item = usize>, num_shards: usize) -> usize {
-            let mut counts = vec![0u64; num_shards.max(1)];
-            let last = counts.len() - 1;
-            for shard in shards {
-                counts[shard.min(last)] += 1;
-            }
-            counts
-                .iter()
-                .enumerate()
-                .max_by(|(ia, a), (ib, b)| a.cmp(b).then(ib.cmp(ia)))
-                .map(|(shard, _)| shard)
-                .unwrap_or(0)
-        }
-        match self {
-            ItemStore::Fp32 { shards, .. } => majority(
-                history.iter().map(|&row| shards.shard_of(row)),
-                shards.num_shards(),
-            ),
-            ItemStore::Int8 { shards, .. } => majority(
-                history.iter().map(|&row| shards.shard_of(row)),
-                shards.num_shards(),
-            ),
-            ItemStore::ClusterFp32 { client, .. } => {
-                client.plan().home_shard(history.iter().copied())
-            }
-            ItemStore::ClusterInt8 { client, .. } => {
-                client.plan().home_shard(history.iter().copied())
-            }
-        }
-    }
-
-    /// Pool every request's history into a dense f32 profile (`batch.len() × dim`).
-    /// Returns the row ids the source degraded to zero-filled lookups (empty outside
-    /// a faulted cluster). `trace`, when set, captures the fetch window and the
-    /// router's per-sub-request events for the batch; `None` leaves the pooling path
-    /// byte-identical to the untraced engine.
+    /// Pool every request's history into a dense f32 profile (`batch.len() × dim`);
+    /// see [`Store::pool_profiles`] for the returned rows and `trace`.
     fn pool_dense(
         &mut self,
         batch: &PoolingBatch,
@@ -372,36 +408,23 @@ impl ItemStore {
         trace: Option<&mut PoolTrace>,
     ) -> Result<Vec<u32>, ServeError> {
         match self {
-            ItemStore::Fp32 { shards, cache } => pool_profiles(shards, cache, batch, dense, trace),
-            ItemStore::ClusterFp32 { client, cache } => {
-                pool_profiles(client, cache, batch, dense, trace)
-            }
-            ItemStore::Int8 {
-                shards,
-                cache,
-                params,
-            } => pool_dense_int8(shards, cache, *params, batch, dense, trace),
-            ItemStore::ClusterInt8 {
-                client,
-                cache,
-                params,
-            } => pool_dense_int8(client, cache, *params, batch, dense, trace),
+            ItemStore::Fp32(store) => store.pool_profiles(batch, dense, trace),
+            ItemStore::Int8(store, params) => pool_dense_int8(store, *params, batch, dense, trace),
         }
     }
 }
 
 /// The int8 variant of dense pooling: pool quantized profiles, then dequantize into
 /// the model's f32 input.
-fn pool_dense_int8<S: RowSource<i8>>(
-    source: &mut S,
-    cache: &mut HotRowCache<i8>,
+fn pool_dense_int8(
+    store: &mut Store<i8>,
     params: QuantizationParams,
     batch: &PoolingBatch,
     dense: &mut [f32],
     trace: Option<&mut PoolTrace>,
 ) -> Result<Vec<u32>, ServeError> {
-    let mut profiles = vec![0i8; batch.len() * source.dim()];
-    let missing = pool_profiles(source, cache, batch, &mut profiles, trace)?;
+    let mut profiles = vec![0i8; batch.len() * store.source.dim()];
+    let missing = store.pool_profiles(batch, &mut profiles, trace)?;
     if dense.len() != profiles.len() {
         return Err(ServeError::ShapeMismatch {
             what: "dense profile buffer",
@@ -412,120 +435,6 @@ fn pool_dense_int8<S: RowSource<i8>>(
     for (out, &quantized) in dense.iter_mut().zip(profiles.iter()) {
         *out = params.dequantize(quantized);
     }
-    Ok(missing)
-}
-
-/// Pool a CSR batch through the cache and a row source (in-process shards or the
-/// cluster router): probe the cache per lookup in flat order (copying hits into a
-/// staging buffer), coalesce repeated misses of one row onto a single in-flight fetch,
-/// fetch the unique misses from the source, insert the fetched rows into the cache,
-/// then sum-pool each request from the staging buffer in request order.
-///
-/// Accumulation order is always the request's index order, and cached rows are exact
-/// copies of source rows, so the pooled profiles are bit-identical with the cache on,
-/// off, or at any capacity — and identical across the single-node and cluster sources.
-///
-/// Returns the rows the source reported missing (zero-filled by a degraded cluster).
-/// A missing row contributes zero to its pools and is **never** admitted to the cache:
-/// degradation must stay transient, not poison future batches after the shard recovers.
-fn pool_profiles<T: Lane, S: RowSource<T>>(
-    source: &mut S,
-    cache: &mut HotRowCache<T>,
-    batch: &PoolingBatch,
-    profiles: &mut [T],
-    mut trace: Option<&mut PoolTrace>,
-) -> Result<Vec<u32>, ServeError> {
-    let dim = source.dim();
-    if profiles.len() != batch.len() * dim {
-        return Err(ServeError::ShapeMismatch {
-            what: "pooled profile buffer",
-            expected: batch.len() * dim,
-            actual: profiles.len(),
-        });
-    }
-    if cache.capacity() == 0 && !source.node_cached() {
-        // Disabled-cache fast path: pool straight off the source, zero cache probes.
-        // Counted as all-miss so hit-rate reporting stays comparable across configs.
-        // Sources with per-shard-node caches skip this: they still want the router's
-        // capacity-0 cache as the miss-coalescing ledger, so each unique row is
-        // fetched (and counted at the nodes) exactly once per batch.
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.misses = batch.total_lookups() as u64;
-            trace.fetch_begin_us = trace.clock.now_us();
-            source.trace_arm(&trace.clock);
-        }
-        source.pool_direct(batch, profiles)?;
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.fetch_end_us = trace.clock.now_us();
-            trace.node_spans = source.trace_drain_node_spans();
-            trace.events = source.trace_drain();
-        }
-        cache.record_misses(batch.total_lookups() as u64);
-        return Ok(source.take_missing());
-    }
-    source.check_indices(batch.indices())?;
-    let mut staging: Vec<T> = vec![T::default(); batch.total_lookups() * dim];
-    let mut fetched: Vec<(u32, usize)> = Vec::new();
-    // `(destination, source)` staging positions of lookups coalesced onto an earlier
-    // fetch of the same row in this batch (a flight table: one fetch per unique row).
-    let mut coalesced: Vec<(usize, usize)> = Vec::new();
-    {
-        let mut in_flight: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        let mut misses: Vec<(u32, &mut [T])> = Vec::new();
-        for ((position, &row), chunk) in batch
-            .indices()
-            .iter()
-            .enumerate()
-            .zip(staging.chunks_mut(dim))
-        {
-            match cache.lookup(row) {
-                Some(data) => chunk.copy_from_slice(data),
-                None => match in_flight.entry(row) {
-                    std::collections::hash_map::Entry::Occupied(entry) => {
-                        cache.coalesce_last_miss();
-                        coalesced.push((position, *entry.get()));
-                    }
-                    std::collections::hash_map::Entry::Vacant(entry) => {
-                        entry.insert(position);
-                        fetched.push((row, position));
-                        misses.push((row, chunk));
-                    }
-                },
-            }
-        }
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.fetch_begin_us = trace.clock.now_us();
-            source.trace_arm(&trace.clock);
-        }
-        source.fetch_rows(misses)?;
-    }
-    if let Some(trace) = trace {
-        trace.fetch_end_us = trace.clock.now_us();
-        trace.node_spans = source.trace_drain_node_spans();
-        trace.events = source.trace_drain();
-        trace.misses = fetched.len() as u64;
-        trace.coalesced = coalesced.len() as u64;
-        trace.hits = batch.total_lookups() as u64 - trace.misses - trace.coalesced;
-    }
-    let missing = source.take_missing();
-    for &(destination, source) in &coalesced {
-        staging.copy_within(source * dim..(source + 1) * dim, destination * dim);
-    }
-    // Admit the fetched rows, in lookup order so CLOCK state stays deterministic —
-    // except rows a degraded cluster zero-filled, which must not be cached.
-    if missing.is_empty() {
-        for &(row, position) in &fetched {
-            cache.insert(row, &staging[position * dim..(position + 1) * dim]);
-        }
-    } else {
-        let degraded: std::collections::HashSet<u32> = missing.iter().copied().collect();
-        for &(row, position) in &fetched {
-            if !degraded.contains(&row) {
-                cache.insert(row, &staging[position * dim..(position + 1) * dim]);
-            }
-        }
-    }
-    crate::shard::pool_from_staging(&staging, dim, batch.offsets(), profiles);
     Ok(missing)
 }
 
@@ -564,53 +473,7 @@ impl ServeEngine {
         items: &EmbeddingTable,
         config: ServeConfig,
     ) -> Result<Self, ServeError> {
-        let (lsh, tcam) = Self::build_filter(&model, items, &config)?;
-        let store = match config.precision {
-            ServePrecision::Fp32 => {
-                let mut shards = shard_embedding(items, config.shards)?;
-                shards.install_node_caches(
-                    config.node_cache_capacity(shards.num_shards()),
-                    config.cache_policy,
-                );
-                ItemStore::Fp32 {
-                    cache: HotRowCache::with_policy(
-                        config.router_cache_capacity(),
-                        items.dim(),
-                        config.cache_policy,
-                    ),
-                    shards,
-                }
-            }
-            ServePrecision::Int8 => {
-                // Quantize once, then move the buffer straight into the shared arena:
-                // the sharded view aliases that single allocation, no per-shard copies.
-                let (arena, params) = QuantizedTable::from_table(items).into_arena();
-                let mut shards = ShardedTable::from_arena(arena, config.shards)?;
-                shards.install_node_caches(
-                    config.node_cache_capacity(shards.num_shards()),
-                    config.cache_policy,
-                );
-                ItemStore::Int8 {
-                    params,
-                    cache: HotRowCache::with_policy(
-                        config.router_cache_capacity(),
-                        items.dim(),
-                        config.cache_policy,
-                    ),
-                    shards,
-                }
-            }
-        };
-        Ok(Self {
-            model,
-            store,
-            lsh,
-            tcam,
-            config,
-            telemetry: ServeTelemetry::default(),
-            tracer: None,
-            metrics: None,
-        })
+        Self::build(model, items, config, Topology::InProcess).map(|(engine, _)| engine)
     }
 
     /// Build an engine whose catalogue lives on a multi-node shard cluster instead of
@@ -659,64 +522,13 @@ impl ServeEngine {
         histogram: Option<&[u64]>,
         options: ClusterOptions,
     ) -> Result<(Self, ClusterHandle), ServeError> {
-        cluster.validate()?;
-        let (lsh, tcam) = Self::build_filter(&model, items, &config)?;
-        let plan = ShardPlan::build(
-            items.rows(),
-            cluster.shards,
-            cluster.placement,
-            cluster.hot_replicas,
+        let topology = Topology::Cluster {
+            cluster,
             histogram,
-        )?;
-        let mut options = options;
-        options.node_cache = config.node_cache_config(plan.num_shards());
-        let (store, handle) = match config.precision {
-            ServePrecision::Fp32 => {
-                let arena = RowArena::from_rows(items.iter_rows(), items.dim())
-                    .expect("embedding table rows are uniform");
-                let (client, handle) = spawn_cluster_with(&arena, plan, cluster, options)?;
-                (
-                    ItemStore::ClusterFp32 {
-                        client,
-                        cache: HotRowCache::with_policy(
-                            config.router_cache_capacity(),
-                            items.dim(),
-                            config.cache_policy,
-                        ),
-                    },
-                    handle,
-                )
-            }
-            ServePrecision::Int8 => {
-                let (arena, params) = QuantizedTable::from_table(items).into_arena();
-                let (client, handle) = spawn_cluster_with(&arena, plan, cluster, options)?;
-                (
-                    ItemStore::ClusterInt8 {
-                        client,
-                        cache: HotRowCache::with_policy(
-                            config.router_cache_capacity(),
-                            items.dim(),
-                            config.cache_policy,
-                        ),
-                        params,
-                    },
-                    handle,
-                )
-            }
+            sockets: None,
+            options,
         };
-        Ok((
-            Self {
-                model,
-                store,
-                lsh,
-                tcam,
-                config,
-                telemetry: ServeTelemetry::default(),
-                tracer: None,
-                metrics: None,
-            },
-            handle,
-        ))
+        Self::build(model, items, config, topology).map(Self::with_handle)
     }
 
     /// A clustered engine whose shards are separate *processes*: each socket path must
@@ -739,68 +551,66 @@ impl ServeEngine {
         sockets: &[std::path::PathBuf],
         options: ClusterOptions,
     ) -> Result<(Self, ClusterHandle), ServeError> {
-        cluster.validate()?;
-        let (lsh, tcam) = Self::build_filter(&model, items, &config)?;
-        let plan = ShardPlan::build(
-            items.rows(),
-            cluster.shards,
-            cluster.placement,
-            cluster.hot_replicas,
+        let topology = Topology::Cluster {
+            cluster,
             histogram,
-        )?;
-        let mut options = options;
-        options.node_cache = config.node_cache_config(plan.num_shards());
+            sockets: Some(sockets),
+            options,
+        };
+        Self::build(model, items, config, topology).map(Self::with_handle)
+    }
+
+    /// The one constructor body: the candidate filter, the catalogue arena in the
+    /// configured precision, the store `topology` asks for over it, and an engine with
+    /// zeroed telemetry.
+    fn build(
+        model: Dlrm,
+        items: &EmbeddingTable,
+        config: ServeConfig,
+        topology: Topology<'_>,
+    ) -> Result<(Self, Option<ClusterHandle>), ServeError> {
+        if let Topology::Cluster { cluster, .. } = &topology {
+            cluster.validate()?;
+        }
+        let (lsh, tcam) = Self::build_filter(&model, items, &config)?;
         let (store, handle) = match config.precision {
             ServePrecision::Fp32 => {
                 let arena = RowArena::from_rows(items.iter_rows(), items.dim())
                     .expect("embedding table rows are uniform");
-                let (client, handle) = connect_cluster(&arena, plan, cluster, sockets, options)?;
-                (
-                    ItemStore::ClusterFp32 {
-                        client,
-                        cache: HotRowCache::with_policy(
-                            config.router_cache_capacity(),
-                            items.dim(),
-                            config.cache_policy,
-                        ),
-                    },
-                    handle,
-                )
+                let (store, handle) = Store::build(arena, &config, topology)?;
+                (ItemStore::Fp32(store), handle)
             }
             ServePrecision::Int8 => {
+                // Quantize once, then move the buffer straight into the shared arena:
+                // every shard views that single allocation, no per-shard copies.
                 let (arena, params) = QuantizedTable::from_table(items).into_arena();
-                let (client, handle) = connect_cluster(&arena, plan, cluster, sockets, options)?;
-                (
-                    ItemStore::ClusterInt8 {
-                        client,
-                        cache: HotRowCache::with_policy(
-                            config.router_cache_capacity(),
-                            items.dim(),
-                            config.cache_policy,
-                        ),
-                        params,
-                    },
-                    handle,
-                )
+                let (store, handle) = Store::build(arena, &config, topology)?;
+                (ItemStore::Int8(store, params), handle)
             }
         };
-        Ok((
-            Self {
-                model,
-                store,
-                lsh,
-                tcam,
-                config,
-                telemetry: ServeTelemetry::default(),
-                tracer: None,
-                metrics: None,
-            },
-            handle,
-        ))
+        let engine = Self {
+            model,
+            store,
+            lsh,
+            tcam,
+            config,
+            telemetry: ServeTelemetry::default(),
+            tracer: None,
+            metrics: None,
+        };
+        Ok((engine, handle))
     }
 
-    /// The candidate-filtering stage shared by both constructors: the LSH hasher plus a
-    /// TCAM loaded with every item row's signature.
+    /// A [`Topology::Cluster`] build always comes with the handle owning its shard nodes.
+    fn with_handle((engine, handle): (Self, Option<ClusterHandle>)) -> (Self, ClusterHandle) {
+        (
+            engine,
+            handle.expect("a cluster topology returns its handle"),
+        )
+    }
+
+    /// The candidate-filtering stage: the LSH hasher plus a TCAM loaded with every item
+    /// row's signature.
     fn build_filter(
         model: &Dlrm,
         items: &EmbeddingTable,
@@ -841,18 +651,14 @@ impl ServeEngine {
     /// Number of embedding shards actually created (may be fewer than requested for a
     /// small catalogue).
     pub fn num_shards(&self) -> usize {
-        self.store.num_shards()
+        self.store.source().num_shards()
     }
 
     /// Bytes of item-row storage resident in the engine's shared arena — the
     /// memory-accounting figure the paper-scale study reports. `None` when the
     /// catalogue lives on a cluster's shard nodes rather than in-process.
     pub fn catalogue_resident_bytes(&self) -> Option<usize> {
-        match &self.store {
-            ItemStore::Fp32 { shards, .. } => Some(shards.arena().resident_bytes()),
-            ItemStore::Int8 { shards, .. } => Some(shards.arena().resident_bytes()),
-            ItemStore::ClusterFp32 { .. } | ItemStore::ClusterInt8 { .. } => None,
-        }
+        self.store.source().resident_bytes()
     }
 
     /// Cache counters accumulated so far.
@@ -862,11 +668,10 @@ impl ServeEngine {
 
     /// Shard-cluster counters (None when serving from the in-process table).
     pub fn cluster_stats(&self) -> Option<ClusterStats> {
-        self.store.cluster_stats()
-    }
-
-    pub(crate) fn cluster_counters(&self) -> Option<Arc<ClusterCounters>> {
-        self.store.cluster_counters()
+        self.store
+            .source()
+            .cluster_counters()
+            .map(|counters| counters.snapshot())
     }
 
     /// Serving counters accumulated so far.
@@ -887,7 +692,7 @@ impl ServeEngine {
             let config = MetricsConfig {
                 interval_us: scraper.interval_us(),
             };
-            *scraper = MetricsScraper::new(&config, self.store.num_shards());
+            *scraper = MetricsScraper::new(&config, self.store.source().num_shards());
         }
     }
 
@@ -897,7 +702,7 @@ impl ServeEngine {
     /// [`ServeReport::metrics`]. Windowing is by *event time*, so the resulting
     /// series is byte-identical across worker counts on a frozen manual clock.
     pub fn enable_metrics(&mut self, config: MetricsConfig) {
-        self.metrics = Some(MetricsScraper::new(&config, self.store.num_shards()));
+        self.metrics = Some(MetricsScraper::new(&config, self.num_shards()));
     }
 
     /// Whether [`ServeEngine::enable_metrics`] armed the metrics plane.
@@ -909,43 +714,6 @@ impl ServeEngine {
     /// merges them window-wise). `None` when metrics are off.
     pub(crate) fn take_metrics(&mut self) -> Option<MetricsScraper> {
         self.metrics.take()
-    }
-
-    /// The router-cache marker to diff a batch's cache traffic against —
-    /// `None` (free) when metrics are off.
-    pub(crate) fn metrics_cache_marker(&self) -> Option<CacheStats> {
-        self.metrics
-            .as_ref()
-            .map(|_| self.store.router_cache_stats())
-    }
-
-    /// Record one served batch on the metrics plane: `arrivals` are the batch's
-    /// request arrival stamps, `latencies` the per-request end-to-end latencies, and
-    /// `marker` the pre-batch cache marker from
-    /// [`ServeEngine::metrics_cache_marker`]. No-op when metrics are off.
-    pub(crate) fn record_metrics_batch(
-        &mut self,
-        marker: Option<CacheStats>,
-        arrivals: &[f64],
-        completed_us: f64,
-        latencies: &[f64],
-    ) {
-        let Some(before) = marker else { return };
-        let after = self.store.router_cache_stats();
-        let faults = self.store.take_fault_deltas();
-        let Some(scraper) = &mut self.metrics else {
-            return;
-        };
-        for &at_us in arrivals {
-            scraper.record_arrival(at_us);
-        }
-        scraper.record_batch(
-            completed_us,
-            latencies,
-            after.hits.saturating_sub(before.hits),
-            after.misses.saturating_sub(before.misses),
-            &faults,
-        );
     }
 
     /// Turn on per-query tracing with `config` (a `sample_every` of 0 turns it off
@@ -979,21 +747,6 @@ impl ServeEngine {
             .unwrap_or_default()
     }
 
-    /// Finalize the last traced batch on the measured timeline (the threaded path):
-    /// `queries` pairs each request id with its submit stamp and `end_us` is the
-    /// measured completion, all on the runtime's injected clock.
-    pub(crate) fn finalize_trace(&mut self, queries: &[(u64, f64)], trigger_us: f64, end_us: f64) {
-        if let Some(tracer) = &mut self.tracer {
-            tracer.finalize_batch(
-                queries,
-                trigger_us,
-                None,
-                end_us,
-                &mut self.telemetry.stages,
-            );
-        }
-    }
-
     /// Pool the batch's profiles, grouping requests by home shard first when
     /// [`ServeConfig::shard_batching`] is on: each group pools as its own sub-batch, so
     /// its row fetch routes overwhelmingly to one shard node and the cross-shard hops
@@ -1007,15 +760,15 @@ impl ServeEngine {
         dense: &mut [f32],
         mut pool_trace: Option<&mut PoolTrace>,
     ) -> Result<Vec<u32>, ServeError> {
-        if !self.config.shard_batching || self.store.num_shards() <= 1 {
+        if !self.config.shard_batching || self.num_shards() <= 1 {
             return self
                 .store
                 .pool_dense(batch, dense, pool_trace.as_deref_mut());
         }
         let dense_dim = self.model.config().num_dense_features;
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.store.num_shards()];
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.num_shards()];
         for (index, request) in requests.iter().enumerate() {
-            groups[self.store.home_shard(&request.history)].push(index);
+            groups[self.store.source().home_shard(&request.history)].push(index);
         }
         let mut missing = Vec::new();
         let mut first_fetch = true;
@@ -1122,7 +875,7 @@ impl ServeEngine {
             .charge(CostComponent::CmaAdd, add.repeat(adds));
         self.telemetry.total_cost += read.repeat(misses).serial(add.repeat(adds));
         // Cross-shard fetches pay the RSC bus (multi-node stores only).
-        let (interconnect, interconnect_breakdown) = self.store.take_interconnect();
+        let (interconnect, interconnect_breakdown) = self.store.source_mut().take_interconnect();
         if interconnect != Cost::ZERO {
             self.telemetry.cost.merge(&interconnect_breakdown);
             self.telemetry.total_cost += interconnect;
@@ -1210,13 +963,21 @@ impl ServeEngine {
         let mut batcher: DynamicBatcher<ServeRequest> = DynamicBatcher::new(self.config.policy);
         let mut engine_free_us = 0.0f64;
         let mut responses = Vec::with_capacity(workload.len());
+        let mut serve = |engine: &mut Self, batch: FlushedBatch<ServeRequest>| {
+            let timeline = Timeline::Virtual {
+                engine_free_us: &mut engine_free_us,
+            };
+            let served = engine.serve_batch(&batch.requests, batch.trigger_us, timeline)?;
+            responses.extend(served);
+            Ok::<(), ServeError>(())
+        };
         for request in workload.requests() {
             let arrival_us = request.arrival_us;
             if let Some(batch) = batcher.poll(arrival_us) {
-                self.serve_flushed(batch, &mut engine_free_us, &mut responses)?;
+                serve(self, batch)?;
             }
             if let Some(batch) = batcher.offer(request.clone(), arrival_us) {
-                self.serve_flushed(batch, &mut engine_free_us, &mut responses)?;
+                serve(self, batch)?;
             }
         }
         if let Some(deadline_us) = batcher.deadline_us() {
@@ -1224,21 +985,15 @@ impl ServeEngine {
             let batch = batcher
                 .drain(deadline_us)
                 .expect("pending batch has a deadline");
-            self.serve_flushed(batch, &mut engine_free_us, &mut responses)?;
+            serve(self, batch)?;
         }
-        let report = ServeReport {
-            name: "serve_replay".to_string(),
-            policy: self.config.policy,
-            shards: self.store.num_shards(),
-            cache_capacity: self.config.cache_capacity,
-            cache_policy: self.config.cache_policy.label().to_string(),
-            cache_placement: self.config.cache_placement.label().to_string(),
-            telemetry: self.telemetry.clone(),
-            cache: self.store.cache_stats(),
-            runtime: None,
-            cluster: self.store.cluster_stats(),
-            metrics: self.metrics.as_ref().map(MetricsScraper::series),
-        };
+        let report = self.report(
+            "serve_replay",
+            self.telemetry.clone(),
+            self.store.cache_stats(),
+            None,
+            self.metrics.as_ref(),
+        );
         let trace = self.take_trace_log();
         Ok(ReplayOutcome {
             responses,
@@ -1247,49 +1002,124 @@ impl ServeEngine {
         })
     }
 
-    fn serve_flushed(
+    /// The report of one run: this engine's shape next to the run's counters — its own
+    /// for [`ServeEngine::replay`], the merge over its worker clones for the threaded
+    /// runtime. The cluster counters are shared across clones, so they are snapshotted
+    /// here, once (merging per worker would double-count).
+    pub(crate) fn report(
+        &self,
+        name: &str,
+        telemetry: ServeTelemetry,
+        cache: CacheStats,
+        runtime: Option<RuntimeStats>,
+        metrics: Option<&MetricsScraper>,
+    ) -> ServeReport {
+        ServeReport {
+            name: name.to_string(),
+            policy: self.config.policy,
+            shards: self.num_shards(),
+            cache_capacity: self.config.cache_capacity,
+            cache_policy: self.config.cache_policy.label().to_string(),
+            cache_placement: self.config.cache_placement.label().to_string(),
+            telemetry,
+            cache,
+            runtime,
+            cluster: self.cluster_stats(),
+            metrics: metrics.map(MetricsScraper::series),
+        }
+    }
+
+    /// Serve one flushed batch and account for it on `timeline` — the one post-batch
+    /// routine behind both [`ServeEngine::replay`] and the threaded runtime's workers:
+    /// time [`ServeEngine::process_batch`] into the busy counter, place the completion,
+    /// stamp every response's latency into the histogram, finalize the batch's traces
+    /// and record it on the metrics plane. `trigger_us` is the batch's flush time.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ServeEngine::process_batch`]; nothing is recorded for a failed batch.
+    pub(crate) fn serve_batch(
         &mut self,
-        batch: FlushedBatch<ServeRequest>,
-        engine_free_us: &mut f64,
-        out: &mut Vec<ServeResponse>,
-    ) -> Result<(), ServeError> {
-        let start_us = engine_free_us.max(batch.trigger_us);
-        let marker = self.metrics_cache_marker();
+        requests: &[ServeRequest],
+        trigger_us: f64,
+        timeline: Timeline<'_>,
+    ) -> Result<Vec<ServeResponse>, ServeError> {
+        // The router-cache marker the metrics plane diffs this batch's cache traffic
+        // against — free when metrics are off.
+        let marker = self
+            .metrics
+            .as_ref()
+            .map(|_| self.store.router_cache_stats());
         let started = Instant::now();
-        let mut responses = self.process_batch(&batch.requests)?;
+        let mut responses = self.process_batch(requests)?;
         let service_us = started.elapsed().as_secs_f64() * 1e6;
-        let completion_us = start_us + service_us;
-        *engine_free_us = completion_us;
         self.telemetry.busy_us += service_us;
-        self.telemetry.makespan_us = completion_us;
-        if marker.is_some() {
-            let arrivals: Vec<f64> = batch.requests.iter().map(|r| r.arrival_us).collect();
-            let latencies: Vec<f64> = arrivals.iter().map(|&at| completion_us - at).collect();
-            self.record_metrics_batch(marker, &arrivals, completion_us, &latencies);
+        let (virtual_start_us, completion_us) = match timeline {
+            Timeline::Virtual { engine_free_us } => {
+                let start_us = engine_free_us.max(trigger_us);
+                *engine_free_us = start_us + service_us;
+                (Some(start_us), *engine_free_us)
+            }
+            Timeline::Measured(clock) => (None, clock.now_us()),
+        };
+        self.telemetry.makespan_us = self.telemetry.makespan_us.max(completion_us);
+        for (response, request) in responses.iter_mut().zip(requests) {
+            // Clamped: on the measured timeline the arrival and the completion are read
+            // by different threads.
+            response.latency_us = (completion_us - request.arrival_us).max(0.0);
+            self.telemetry.latency.record(response.latency_us);
         }
         if let Some(tracer) = &mut self.tracer {
-            // Re-anchor the batch's measured stage marks onto the virtual timeline:
+            // On the virtual timeline the batch's measured stage marks are re-anchored:
             // pooling starts at the simulated service start.
-            let queries: Vec<(u64, f64)> = batch
-                .requests
+            let queries: Vec<(u64, f64)> = requests
                 .iter()
                 .map(|request| (request.id, request.arrival_us))
                 .collect();
             tracer.finalize_batch(
                 &queries,
-                batch.trigger_us,
-                Some(start_us),
+                trigger_us,
+                virtual_start_us,
                 completion_us,
                 &mut self.telemetry.stages,
             );
         }
-        for (response, request) in responses.iter_mut().zip(batch.requests.iter()) {
-            response.latency_us = completion_us - request.arrival_us;
-            self.telemetry.latency.record(response.latency_us);
+        if let (Some(before), Some(scraper)) = (marker, &mut self.metrics) {
+            // On the measured timeline arrivals are the submit stamps, so the per-window
+            // queue depth reflects what producers actually experienced.
+            let after = self.store.router_cache_stats();
+            let faults = self.store.source_mut().take_fault_deltas();
+            for request in requests {
+                scraper.record_arrival(request.arrival_us);
+            }
+            let latencies: Vec<f64> = responses.iter().map(|r| r.latency_us).collect();
+            scraper.record_batch(
+                completion_us,
+                &latencies,
+                after.hits.saturating_sub(before.hits),
+                after.misses.saturating_sub(before.misses),
+                &faults,
+            );
         }
-        out.append(&mut responses);
-        Ok(())
+        Ok(responses)
     }
+}
+
+/// The timeline a served batch completes on — all the simulated replay and the
+/// threaded runtime disagree about after [`ServeEngine::process_batch`] returns.
+/// Latency runs from each request's `arrival_us` on either.
+pub(crate) enum Timeline<'a> {
+    /// [`ServeEngine::replay`]'s discrete-event timeline: the batch starts at its flush
+    /// trigger or when the engine frees up (`engine_free_us`, advanced to this batch's
+    /// completion), whichever is later, and completes its measured service time after
+    /// that.
+    Virtual {
+        /// When the engine finished the previous batch.
+        engine_free_us: &'a mut f64,
+    },
+    /// The threaded runtime's measured timeline: the completion is read off its clock,
+    /// the same one that stamped the arrivals at submit.
+    Measured(&'a dyn Clock),
 }
 
 #[cfg(test)]
@@ -1343,6 +1173,15 @@ mod tests {
             seed: 2024,
             item_permutation_seed: None,
         }
+    }
+
+    /// The type contract the serving benchmark relies on, checked at compile time: it
+    /// `#[derive(Debug)]`s a struct holding an engine, and the threaded runtime moves
+    /// clones into worker threads.
+    #[allow(dead_code)]
+    fn engine_is_clone_send_debug() {
+        fn assert_contract<T: Clone + Send + std::fmt::Debug>() {}
+        assert_contract::<ServeEngine>();
     }
 
     #[test]

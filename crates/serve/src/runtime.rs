@@ -34,12 +34,12 @@ use std::time::{Duration, Instant};
 use crate::batcher::{DynamicBatcher, FlushedBatch};
 use crate::cache::CacheStats;
 use crate::clock::{Clock, WallClock};
-use crate::engine::{ReplayOutcome, ServeEngine, ServeRequest, ServeResponse};
+use crate::engine::{ReplayOutcome, ServeEngine, ServeRequest, ServeResponse, Timeline};
 use crate::error::ServeError;
 use crate::metrics::MetricsScraper;
 use crate::queue::{BoundedQueue, Pop, PushError};
 use crate::replay::ReplayWorkload;
-use crate::telemetry::{LatencyHistogram, RuntimeStats, ServeReport, ServeTelemetry};
+use crate::telemetry::{RuntimeStats, ServeTelemetry};
 use crate::trace::TraceLog;
 
 /// Longest the batcher waits for a request when a batch is pending — bounds how stale
@@ -103,13 +103,6 @@ impl RuntimeConfig {
     }
 }
 
-/// A request stamped with its wall-clock submit time (the measured-latency origin).
-#[derive(Debug)]
-struct TimedRequest {
-    request: ServeRequest,
-    submitted_us: f64,
-}
-
 /// Counters shared between producers and the runtime handle.
 #[derive(Debug, Default)]
 struct SharedCounters {
@@ -128,40 +121,22 @@ struct BatcherExit {
     stall_us: f64,
 }
 
-/// What each worker thread hands back when it exits.
-#[derive(Debug)]
-struct WorkerOutput {
-    responses: Vec<ServeResponse>,
-    latency: LatencyHistogram,
-    telemetry: ServeTelemetry,
-    cache: CacheStats,
-    busy_us: f64,
-    last_completion_us: f64,
-    trace: TraceLog,
-    metrics: Option<MetricsScraper>,
-}
+/// What a worker thread hands back: its responses and its engine clone, whose counters,
+/// traces and metrics `shutdown` merges into the run's report.
+type WorkerExit = Result<(Vec<ServeResponse>, ServeEngine), ServeError>;
 
 /// A running threaded serving pipeline: submit requests, then [`ServeRuntime::shutdown`]
 /// to drain in-flight work and collect the outcome.
 #[derive(Debug)]
 pub struct ServeRuntime {
-    requests: Arc<BoundedQueue<TimedRequest>>,
-    batches: Arc<BoundedQueue<FlushedBatch<TimedRequest>>>,
+    requests: Arc<BoundedQueue<ServeRequest>>,
+    batches: Arc<BoundedQueue<FlushedBatch<ServeRequest>>>,
     clock: Arc<dyn Clock>,
     shared: Arc<SharedCounters>,
     batcher: Option<JoinHandle<BatcherExit>>,
-    workers: Vec<JoinHandle<Result<WorkerOutput, ServeError>>>,
+    workers: Vec<JoinHandle<WorkerExit>>,
     config: RuntimeConfig,
     start_us: f64,
-    report_shards: usize,
-    report_cache_capacity: usize,
-    report_cache_policy: String,
-    report_cache_placement: String,
-    report_policy: crate::batcher::BatchPolicy,
-    /// Shared cluster counters when the engine serves from a shard cluster; the
-    /// shutdown report snapshots them once (they are shared across worker clones, so
-    /// per-worker merging would double-count).
-    report_cluster: Option<std::sync::Arc<crate::cluster::ClusterCounters>>,
 }
 
 impl ServeRuntime {
@@ -179,9 +154,9 @@ impl ServeRuntime {
         clock: Arc<dyn Clock>,
     ) -> Result<Self, ServeError> {
         config.validate()?;
-        let requests: Arc<BoundedQueue<TimedRequest>> =
+        let requests: Arc<BoundedQueue<ServeRequest>> =
             Arc::new(BoundedQueue::new(config.queue_capacity));
-        let batches: Arc<BoundedQueue<FlushedBatch<TimedRequest>>> =
+        let batches: Arc<BoundedQueue<FlushedBatch<ServeRequest>>> =
             Arc::new(BoundedQueue::new(config.batch_queue_capacity));
         let shared = Arc::new(SharedCounters::default());
         let start_us = clock.now_us();
@@ -218,30 +193,23 @@ impl ServeRuntime {
             shared,
             batcher: Some(batcher),
             workers,
-            report_shards: engine.num_shards(),
-            report_cache_capacity: engine.config().cache_capacity,
-            report_cache_policy: engine.config().cache_policy.label().to_string(),
-            report_cache_placement: engine.config().cache_placement.label().to_string(),
-            report_policy: policy,
-            report_cluster: engine.cluster_counters(),
             config,
             start_us,
         })
     }
 
     /// Submit without blocking: a full queue rejects the request (load shedding) and the
-    /// rejection is counted in the runtime stats.
+    /// rejection is counted in the runtime stats. The request's `arrival_us` is
+    /// restamped with the submit time on the runtime's clock — on the measured timeline
+    /// a request arrives when it is submitted, and that stamp is its latency origin.
     ///
     /// # Errors
     ///
     /// [`ServeError::QueueFull`] on backpressure rejection, [`ServeError::RuntimeStopped`]
     /// after shutdown began or a worker died.
-    pub fn try_submit(&self, request: ServeRequest) -> Result<(), ServeError> {
-        let timed = TimedRequest {
-            request,
-            submitted_us: self.clock.now_us(),
-        };
-        match self.requests.try_push(timed) {
+    pub fn try_submit(&self, mut request: ServeRequest) -> Result<(), ServeError> {
+        request.arrival_us = self.clock.now_us();
+        match self.requests.try_push(request) {
             Ok(depth) => {
                 self.record_accept(depth);
                 Ok(())
@@ -257,17 +225,14 @@ impl ServeRuntime {
     }
 
     /// Submit, blocking while the queue is full (lossless producers; the block *is* the
-    /// backpressure).
+    /// backpressure). Restamps `arrival_us` like [`ServeRuntime::try_submit`].
     ///
     /// # Errors
     ///
     /// [`ServeError::RuntimeStopped`] after shutdown began or a worker died.
-    pub fn submit(&self, request: ServeRequest) -> Result<(), ServeError> {
-        let timed = TimedRequest {
-            request,
-            submitted_us: self.clock.now_us(),
-        };
-        match self.requests.push(timed) {
+    pub fn submit(&self, mut request: ServeRequest) -> Result<(), ServeError> {
+        request.arrival_us = self.clock.now_us();
+        match self.requests.push(request) {
             Ok(depth) => {
                 self.record_accept(depth);
                 Ok(())
@@ -346,29 +311,26 @@ impl ServeRuntime {
         let mut responses = Vec::new();
         let mut trace = TraceLog::default();
         let mut worker_busy_us = Vec::with_capacity(outputs.len());
-        let mut last_completion_us = self.start_us;
         let mut metrics: Option<MetricsScraper> = None;
-        for output in outputs {
-            telemetry.merge(&output.telemetry);
-            telemetry.latency.merge(&output.latency);
-            telemetry.busy_us += output.busy_us;
-            cache.merge(&output.cache);
-            worker_busy_us.push(output.busy_us);
-            last_completion_us = last_completion_us.max(output.last_completion_us);
-            responses.extend(output.responses);
+        for (served, engine) in &mut outputs {
+            telemetry.merge(engine.telemetry());
+            cache.merge(&engine.cache_stats());
+            worker_busy_us.push(engine.telemetry().busy_us);
+            responses.append(served);
             // Head retention commutes with the union, so the merged log equals the
             // single-worker log for the same trace (pinned in the trace tests).
-            trace.merge(&output.trace);
+            trace.merge(&engine.take_trace_log());
             // Window merging is commutative too: events land in windows by their
             // timestamps, so the merged series is independent of worker count.
-            if let Some(worker_metrics) = output.metrics {
+            if let Some(worker_metrics) = engine.take_metrics() {
                 match metrics.as_mut() {
                     Some(merged) => merged.merge(&worker_metrics),
                     None => metrics = Some(worker_metrics),
                 }
             }
         }
-        let wall_us = (last_completion_us - self.start_us).max(0.0);
+        // The merged makespan is the last completion on the runtime's clock.
+        let wall_us = (telemetry.makespan_us - self.start_us).max(0.0);
         telemetry.makespan_us = wall_us;
 
         let runtime = RuntimeStats {
@@ -384,22 +346,14 @@ impl ServeRuntime {
             worker_busy_us,
             wall_us,
         };
-        let report = ServeReport {
-            name: "serve_threaded".to_string(),
-            policy: self.report_policy,
-            shards: self.report_shards,
-            cache_capacity: self.report_cache_capacity,
-            cache_policy: self.report_cache_policy.clone(),
-            cache_placement: self.report_cache_placement.clone(),
+        let (_, engine) = outputs.first().expect("a runtime has at least one worker");
+        let report = engine.report(
+            "serve_threaded",
             telemetry,
             cache,
-            runtime: Some(runtime),
-            cluster: self
-                .report_cluster
-                .as_ref()
-                .map(|counters| counters.snapshot()),
-            metrics: metrics.as_ref().map(MetricsScraper::series),
-        };
+            Some(runtime),
+            metrics.as_ref(),
+        );
         Ok(ReplayOutcome {
             responses,
             report,
@@ -428,12 +382,12 @@ impl Drop for ServeRuntime {
 /// Blocking on a full batch queue is the measured stall; a closed batch queue (a worker
 /// died) ends the loop.
 fn run_batcher(
-    requests: &BoundedQueue<TimedRequest>,
-    batches: &BoundedQueue<FlushedBatch<TimedRequest>>,
+    requests: &BoundedQueue<ServeRequest>,
+    batches: &BoundedQueue<FlushedBatch<ServeRequest>>,
     clock: &dyn Clock,
     policy: crate::batcher::BatchPolicy,
 ) -> BatcherExit {
-    let mut batcher: DynamicBatcher<TimedRequest> = DynamicBatcher::new(policy);
+    let mut batcher: DynamicBatcher<ServeRequest> = DynamicBatcher::new(policy);
     let mut exit = BatcherExit::default();
     loop {
         let now = clock.now_us();
@@ -447,16 +401,16 @@ fn run_batcher(
             None => IDLE_WAIT_US,
         };
         match requests.pop_timeout(Duration::from_secs_f64(wait_us.max(1.0) / 1e6)) {
-            Pop::Item(timed) => {
+            Pop::Item(request) => {
                 // Offer at pop time (monotone, so arrival order holds); the submit
-                // stamp still anchors the measured end-to-end latency.
+                // stamp in `arrival_us` still anchors the measured end-to-end latency.
                 let now = clock.now_us();
                 if let Some(batch) = batcher.poll(now) {
                     if !push_batch(batches, batch, &mut exit) {
                         return exit;
                     }
                 }
-                if let Some(batch) = batcher.offer(timed, now) {
+                if let Some(batch) = batcher.offer(request, now) {
                     if !push_batch(batches, batch, &mut exit) {
                         return exit;
                     }
@@ -477,8 +431,8 @@ fn run_batcher(
 /// timed). Returns `false` when the batch queue is closed (a worker died) — the caller
 /// stops batching.
 fn push_batch(
-    batches: &BoundedQueue<FlushedBatch<TimedRequest>>,
-    batch: FlushedBatch<TimedRequest>,
+    batches: &BoundedQueue<FlushedBatch<ServeRequest>>,
+    batch: FlushedBatch<ServeRequest>,
     exit: &mut BatcherExit,
 ) -> bool {
     match batches.try_push(batch) {
@@ -498,8 +452,8 @@ fn push_batch(
 /// cannot leave the batcher blocked on a full batch queue (which `shutdown` joins
 /// first) or producers blocked on submit — a panic must fail the run, not deadlock it.
 struct CloseQueuesOnPanic<'a> {
-    requests: &'a BoundedQueue<TimedRequest>,
-    batches: &'a BoundedQueue<FlushedBatch<TimedRequest>>,
+    requests: &'a BoundedQueue<ServeRequest>,
+    batches: &'a BoundedQueue<FlushedBatch<ServeRequest>>,
 }
 
 impl Drop for CloseQueuesOnPanic<'_> {
@@ -511,37 +465,29 @@ impl Drop for CloseQueuesOnPanic<'_> {
     }
 }
 
-/// A worker thread: execute flushed batches on an owned engine clone, stamping measured
-/// per-request latency (completion minus submit) into a local histogram. On an engine
-/// error (or panic, via [`CloseQueuesOnPanic`]), close both queues so producers and the
-/// batcher unblock instead of deadlocking, and hand the error to `shutdown`.
+/// A worker thread: serve flushed batches on an owned engine clone, on the measured
+/// timeline (latency = completion on `clock` minus submit stamp, recorded in the
+/// clone's telemetry). On an engine error (or panic, via [`CloseQueuesOnPanic`]), close
+/// both queues so producers and the batcher unblock instead of deadlocking, and hand
+/// the error to `shutdown`.
 fn run_worker(
     mut engine: ServeEngine,
-    requests: &BoundedQueue<TimedRequest>,
-    batches: &BoundedQueue<FlushedBatch<TimedRequest>>,
+    requests: &BoundedQueue<ServeRequest>,
+    batches: &BoundedQueue<FlushedBatch<ServeRequest>>,
     clock: &dyn Clock,
     shared: &SharedCounters,
-) -> Result<WorkerOutput, ServeError> {
+) -> WorkerExit {
     let _panic_guard = CloseQueuesOnPanic { requests, batches };
-    let mut latency = LatencyHistogram::new();
     let mut responses = Vec::new();
-    let mut busy_us = 0.0f64;
-    let mut last_completion_us = 0.0f64;
     loop {
         let batch = match batches.pop() {
             Pop::Item(batch) => batch,
             Pop::Closed => break,
             Pop::TimedOut => continue,
         };
-        let trigger_us = batch.trigger_us;
-        let (batch_requests, stamps): (Vec<ServeRequest>, Vec<f64>) = batch
-            .requests
-            .into_iter()
-            .map(|timed| (timed.request, timed.submitted_us))
-            .unzip();
-        let metrics_marker = engine.metrics_cache_marker();
-        let service_started = Instant::now();
-        let mut batch_responses = match engine.process_batch(&batch_requests) {
+        let timeline = Timeline::Measured(clock);
+        let batch_responses = match engine.serve_batch(&batch.requests, batch.trigger_us, timeline)
+        {
             Ok(batch_responses) => batch_responses,
             Err(error) => {
                 requests.close();
@@ -549,44 +495,12 @@ fn run_worker(
                 return Err(error);
             }
         };
-        busy_us += service_started.elapsed().as_secs_f64() * 1e6;
-        let completed_us = clock.now_us();
-        last_completion_us = last_completion_us.max(completed_us);
-        if engine.trace_config().is_some() {
-            let queries: Vec<(u64, f64)> = batch_requests
-                .iter()
-                .zip(stamps.iter())
-                .map(|(request, &submitted_us)| (request.id, submitted_us))
-                .collect();
-            engine.finalize_trace(&queries, trigger_us, completed_us);
-        }
-        for (response, submitted_us) in batch_responses.iter_mut().zip(&stamps) {
-            response.latency_us = (completed_us - submitted_us).max(0.0);
-            latency.record(response.latency_us);
-        }
-        if metrics_marker.is_some() {
-            // Arrivals are the submit stamps (the measured-latency origin), so the
-            // per-window queue depth reflects what producers actually experienced.
-            let latencies: Vec<f64> = batch_responses.iter().map(|r| r.latency_us).collect();
-            engine.record_metrics_batch(metrics_marker, &stamps, completed_us, &latencies);
-        }
         shared
             .completed
             .fetch_add(batch_responses.len() as u64, Ordering::Relaxed);
         responses.extend(batch_responses);
     }
-    let trace = engine.take_trace_log();
-    let metrics = engine.take_metrics();
-    Ok(WorkerOutput {
-        responses,
-        latency,
-        telemetry: engine.telemetry().clone(),
-        cache: engine.cache_stats(),
-        busy_us,
-        last_completion_us,
-        trace,
-        metrics,
-    })
+    Ok((responses, engine))
 }
 
 /// Configuration of a threaded replay run.
@@ -919,8 +833,8 @@ mod tests {
 
     #[test]
     fn a_panicking_worker_closes_the_queues_instead_of_deadlocking() {
-        let requests: BoundedQueue<TimedRequest> = BoundedQueue::new(4);
-        let batches: BoundedQueue<FlushedBatch<TimedRequest>> = BoundedQueue::new(1);
+        let requests: BoundedQueue<ServeRequest> = BoundedQueue::new(4);
+        let batches: BoundedQueue<FlushedBatch<ServeRequest>> = BoundedQueue::new(1);
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
                 let _guard = CloseQueuesOnPanic {
@@ -934,8 +848,8 @@ mod tests {
         assert!(requests.is_closed(), "panic must close the request queue");
         assert!(batches.is_closed(), "panic must close the batch queue");
         // A clean exit must NOT close anything (other workers keep consuming).
-        let open: BoundedQueue<TimedRequest> = BoundedQueue::new(4);
-        let open_batches: BoundedQueue<FlushedBatch<TimedRequest>> = BoundedQueue::new(1);
+        let open: BoundedQueue<ServeRequest> = BoundedQueue::new(4);
+        let open_batches: BoundedQueue<FlushedBatch<ServeRequest>> = BoundedQueue::new(1);
         {
             let _guard = CloseQueuesOnPanic {
                 requests: &open,

@@ -15,20 +15,25 @@
 //! accumulation semantics as those sources (plain f32 adds, lane-wise saturating int8
 //! adds), so shard-served results are bit-identical to the unsharded reference.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, Mutex};
 
+use imars_fabric::cost::{Cost, CostBreakdown};
 use imars_recsys::arena::RowArena;
 use imars_recsys::batch::{par_runs, worker_count, PoolingBatch};
 use imars_recsys::embedding::EmbeddingTable;
 use imars_recsys::quantization::QuantizedTable;
 
 use crate::cache::{CachePolicy, CacheStats, HotRowCache};
+use crate::cluster::ClusterCounters;
 use crate::error::ServeError;
+use crate::placement::plurality_shard;
+use crate::trace::PoolTrace;
 
 /// A row element that can be pool-accumulated. `f32` uses plain addition (the
 /// [`EmbeddingTable`] semantics); `i8` uses saturating addition (the GPCiM accumulator
 /// semantics shared with [`imars_fabric::cma::saturating_add_packed_i8`]).
-pub trait Lane: Copy + Default + Send + Sync + 'static {
+pub trait Lane: Copy + Default + Send + Sync + std::fmt::Debug + 'static {
     /// Bytes one element occupies on the wire (little-endian), used by the socket
     /// transport's length-prefixed frames.
     const WIRE_BYTES: usize;
@@ -105,14 +110,11 @@ impl Lane for i8 {
 /// The engine's abstraction over a row store. The in-process [`ShardedTable`] and the
 /// multi-node [`ClusterClient`](crate::cluster::ClusterClient) both implement it, so
 /// the cache/pooling layer above is byte-for-byte the same code on both paths — which
-/// is what makes the single-node and clustered outputs bit-identical.
-pub(crate) trait RowSource<T: Lane> {
-    /// Elements per row.
-    fn dim(&self) -> usize;
-
-    /// Validate that every index addresses a valid row.
-    fn check_indices(&self, indices: &[u32]) -> Result<(), ServeError>;
-
+/// is what makes the single-node and clustered outputs bit-identical. The engine holds
+/// its source as a `Box<dyn RowSource<T>>`: topology is chosen once, at construction,
+/// and everything the engine asks about it afterwards is a method of this trait or of
+/// its precision-independent half, [`ShardTopology`].
+pub(crate) trait RowSource<T: Lane>: ShardTopology {
     /// Copy the requested rows into the paired output chunks. Indices must be
     /// pre-validated; chunks are `dim` wide.
     fn fetch_rows(&mut self, work: Vec<(u32, &mut [T])>) -> Result<(), ServeError>;
@@ -120,6 +122,54 @@ pub(crate) trait RowSource<T: Lane> {
     /// Sum-pool a CSR batch straight off the store (the cache-disabled path),
     /// accumulating each request in index order.
     fn pool_direct(&mut self, batch: &PoolingBatch, out: &mut [T]) -> Result<(), ServeError>;
+
+    /// Clone into a fresh box through the source's own `Clone`, so a cluster router
+    /// clone gets its own reply queue (and re-dials its sockets) exactly as a direct
+    /// clone would.
+    fn clone_box(&self) -> Box<dyn RowSource<T>>;
+}
+
+/// What a [`RowSource`] answers without naming a row type: its shape, its shards, and
+/// the counters, degraded rows, trace events and fault deltas it accumulates. The
+/// defaults are the in-process answers ("no cluster, nothing to report").
+pub(crate) trait ShardTopology: Send + Sync + std::fmt::Debug {
+    /// Elements per row.
+    fn dim(&self) -> usize;
+
+    /// Validate that every index addresses a valid row.
+    fn check_indices(&self, indices: &[u32]) -> Result<(), ServeError>;
+
+    /// Number of shards the rows are partitioned across.
+    fn num_shards(&self) -> usize;
+
+    /// The home shard of one request's history (shard-aware batching): the shard
+    /// owning most of its rows, ties toward the lower shard id.
+    fn home_shard(&self, history: &[u32]) -> usize;
+
+    /// Aggregated counters of the per-shard-node caches (all-zero without them).
+    fn node_cache_stats(&self) -> CacheStats;
+
+    /// Zero the counters this source owns (node caches; on a cluster, the shared
+    /// cluster counters too). Resident cache rows are kept.
+    fn reset_stats(&mut self);
+
+    /// Bytes of row storage resident in this process. `None` when the rows live on a
+    /// cluster's shard nodes instead.
+    fn resident_bytes(&self) -> Option<usize> {
+        None
+    }
+
+    /// The interconnect cost accumulated since the last collection — zero for a source
+    /// with no interconnect to cross.
+    fn take_interconnect(&mut self) -> (Cost, CostBreakdown) {
+        (Cost::ZERO, CostBreakdown::new())
+    }
+
+    /// The shared cluster counters, for reporters that outlive this source. `None` for
+    /// a source that is not a cluster.
+    fn cluster_counters(&self) -> Option<Arc<ClusterCounters>> {
+        None
+    }
 
     /// Take the row ids the last fetches could not serve (their owner was dead and
     /// they had no replica; the chunks were zero-filled). Empty for sources that
@@ -129,21 +179,21 @@ pub(crate) trait RowSource<T: Lane> {
         Vec::new()
     }
 
-    /// Arm per-fetch tracing: until [`RowSource::trace_drain`] is called, the source
-    /// records dispatch/reply/timeout/retry/hedge/promotion events stamped on `clock`.
-    /// Default is a no-op — only the cluster client has sub-request structure worth
-    /// tracing; the in-process [`ShardedTable`] fetch is a single flat copy.
+    /// Arm per-fetch tracing: until [`ShardTopology::trace_drain`] is called, the
+    /// source records dispatch/reply/timeout/retry/hedge/promotion events stamped on
+    /// `clock`. Default is a no-op — only the cluster client has sub-request structure
+    /// worth tracing; the in-process [`ShardedTable`] fetch is a single flat copy.
     fn trace_arm(&mut self, _clock: &std::sync::Arc<dyn crate::clock::Clock>) {}
 
-    /// Take the fetch events recorded since [`RowSource::trace_arm`], disarming
+    /// Take the fetch events recorded since [`ShardTopology::trace_arm`], disarming
     /// tracing. Empty for sources that do not record events.
     fn trace_drain(&mut self) -> Vec<crate::trace::FetchEvent> {
         Vec::new()
     }
 
     /// Take the shard-node server spans that arrived with replies since
-    /// [`RowSource::trace_arm`]. Empty for sources without shard nodes. Call this
-    /// *before* [`RowSource::trace_drain`], which disarms the sink.
+    /// [`ShardTopology::trace_arm`]. Empty for sources without shard nodes. Call this
+    /// *before* [`ShardTopology::trace_drain`], which disarms the sink.
     fn trace_drain_node_spans(&mut self) -> Vec<crate::trace::NodeSpanRecord> {
         Vec::new()
     }
@@ -166,25 +216,123 @@ pub(crate) trait RowSource<T: Lane> {
     }
 }
 
-/// Accumulate request-order sums from a staged flat-lookup buffer: request `i` pools
-/// `staging[offsets[i]..offsets[i+1]]` rows with [`Lane::accumulate`], fanned across
-/// worker threads. Shared by the cached pooling path and the cluster's direct path —
-/// the accumulation order (flat request order) is the bit-exactness contract.
-pub(crate) fn pool_from_staging<T: Lane>(
-    staging: &[T],
+impl<T: Lane> Clone for Box<dyn RowSource<T>> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
+/// Run `fetch` against `source` inside `trace`'s fetch window: stamp the begin, arm
+/// the source's event capture, fetch, stamp the end and drain what the source
+/// recorded. `None` runs `fetch` alone — the untraced path stays byte-identical to an
+/// engine that never traced.
+pub(crate) fn traced_fetch<S: ShardTopology + ?Sized, R>(
+    source: &mut S,
+    trace: Option<&mut PoolTrace>,
+    fetch: impl FnOnce(&mut S) -> R,
+) -> R {
+    let Some(trace) = trace else {
+        return fetch(source);
+    };
+    trace.fetch_begin_us = trace.clock.now_us();
+    source.trace_arm(&trace.clock);
+    let result = fetch(source);
+    trace.fetch_end_us = trace.clock.now_us();
+    trace.node_spans = source.trace_drain_node_spans();
+    trace.events = source.trace_drain();
+    result
+}
+
+/// One batch's flat lookups staged for pooling behind a flight table: each unique row
+/// that `probe` could not serve is fetched from the source exactly once, and repeated
+/// lookups of it are copied from the first occurrence's staging slot. The one
+/// coalescing routine of the crate — the engine's cached pooling path (probe = the
+/// router cache) and the cluster's cache-off direct path (probe = never) both call it,
+/// so the routed traffic, and its bus charge, counts each unique row once per batch
+/// either way.
+pub(crate) struct Flight<T> {
+    staging: Vec<T>,
     dim: usize,
-    offsets: &[usize],
-    out: &mut [T],
-) {
-    let mut slots: Vec<&mut [T]> = out.chunks_mut(dim).collect();
-    par_runs(&mut slots, |first, run| {
-        for (i, slot) in run.iter_mut().enumerate() {
-            slot.fill(T::default());
-            for position in offsets[first + i]..offsets[first + i + 1] {
-                T::accumulate_slice(slot, &staging[position * dim..(position + 1) * dim]);
+    /// `(row, staging position)` of every row fetched from the source, in
+    /// first-lookup order.
+    pub(crate) fetched: Vec<(u32, usize)>,
+    /// `(destination, source)` staging positions of lookups coalesced onto an earlier
+    /// fetch of the same row in this batch.
+    pub(crate) coalesced: Vec<(usize, usize)>,
+}
+
+impl<T: Lane> Flight<T> {
+    /// Walk `batch`'s lookups in flat order: `probe(row, chunk)` returns `true` when it
+    /// filled `chunk` itself (a cache hit); every other lookup joins the flight table.
+    /// Then fetch the unique rows from `source`, the fetch window and router events
+    /// captured into `trace` when set. Indices must be pre-validated.
+    pub(crate) fn fetch<S: RowSource<T> + ?Sized>(
+        source: &mut S,
+        batch: &PoolingBatch,
+        mut probe: impl FnMut(u32, &mut [T]) -> bool,
+        trace: Option<&mut PoolTrace>,
+    ) -> Result<Self, ServeError> {
+        let dim = source.dim();
+        let mut staging = vec![T::default(); batch.total_lookups() * dim];
+        let mut fetched: Vec<(u32, usize)> = Vec::new();
+        let mut coalesced: Vec<(usize, usize)> = Vec::new();
+        {
+            let mut in_flight: HashMap<u32, usize> = HashMap::new();
+            let mut misses: Vec<(u32, &mut [T])> = Vec::new();
+            for ((position, &row), chunk) in batch
+                .indices()
+                .iter()
+                .enumerate()
+                .zip(staging.chunks_mut(dim))
+            {
+                if probe(row, chunk) {
+                    continue;
+                }
+                match in_flight.entry(row) {
+                    Entry::Occupied(entry) => coalesced.push((position, *entry.get())),
+                    Entry::Vacant(entry) => {
+                        entry.insert(position);
+                        fetched.push((row, position));
+                        misses.push((row, chunk));
+                    }
+                }
             }
+            traced_fetch(source, trace, |source| source.fetch_rows(misses))?;
         }
-    });
+        Ok(Self {
+            staging,
+            dim,
+            fetched,
+            coalesced,
+        })
+    }
+
+    /// The staged row at flat lookup `position`.
+    pub(crate) fn row(&self, position: usize) -> &[T] {
+        &self.staging[position * self.dim..(position + 1) * self.dim]
+    }
+
+    /// Fill the coalesced lookups from their first occurrence, then sum-pool each
+    /// request from the staging buffer: request `i` accumulates staging rows
+    /// `offsets[i]..offsets[i+1]` with [`Lane::accumulate`], fanned across worker
+    /// threads. The accumulation order (flat request order) is the bit-exactness
+    /// contract.
+    pub(crate) fn pool(mut self, offsets: &[usize], out: &mut [T]) {
+        let dim = self.dim;
+        for &(destination, source) in &self.coalesced {
+            self.staging
+                .copy_within(source * dim..(source + 1) * dim, destination * dim);
+        }
+        let mut slots: Vec<&mut [T]> = out.chunks_mut(dim).collect();
+        par_runs(&mut slots, |first, run| {
+            for (i, slot) in run.iter_mut().enumerate() {
+                slot.fill(T::default());
+                for position in offsets[first + i]..offsets[first + i + 1] {
+                    T::accumulate_slice(slot, self.row(position));
+                }
+            }
+        });
+    }
 }
 
 /// An embedding table split into contiguous row-range shards, optionally fronted by
@@ -488,6 +636,21 @@ impl<T: Lane> ShardedTable<T> {
 }
 
 impl<T: Lane> RowSource<T> for ShardedTable<T> {
+    fn fetch_rows(&mut self, work: Vec<(u32, &mut [T])>) -> Result<(), ServeError> {
+        self.fetch_into(work);
+        Ok(())
+    }
+
+    fn pool_direct(&mut self, batch: &PoolingBatch, out: &mut [T]) -> Result<(), ServeError> {
+        self.pool_batch(batch, out)
+    }
+
+    fn clone_box(&self) -> Box<dyn RowSource<T>> {
+        Box::new(self.clone())
+    }
+}
+
+impl<T: Lane> ShardTopology for ShardedTable<T> {
     fn dim(&self) -> usize {
         ShardedTable::dim(self)
     }
@@ -496,13 +659,27 @@ impl<T: Lane> RowSource<T> for ShardedTable<T> {
         ShardedTable::check_indices(self, indices)
     }
 
-    fn fetch_rows(&mut self, work: Vec<(u32, &mut [T])>) -> Result<(), ServeError> {
-        self.fetch_into(work);
-        Ok(())
+    fn num_shards(&self) -> usize {
+        self.num_shards
     }
 
-    fn pool_direct(&mut self, batch: &PoolingBatch, out: &mut [T]) -> Result<(), ServeError> {
-        self.pool_batch(batch, out)
+    fn home_shard(&self, history: &[u32]) -> usize {
+        plurality_shard(
+            history.iter().map(|&row| self.shard_of(row)),
+            self.num_shards,
+        )
+    }
+
+    fn node_cache_stats(&self) -> CacheStats {
+        ShardedTable::node_cache_stats(self)
+    }
+
+    fn reset_stats(&mut self) {
+        self.reset_node_cache_stats();
+    }
+
+    fn resident_bytes(&self) -> Option<usize> {
+        Some(self.arena.resident_bytes())
     }
 
     fn node_cached(&self) -> bool {

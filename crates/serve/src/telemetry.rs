@@ -982,8 +982,9 @@ impl ServeReport {
 
 /// Escape a string for embedding in hand-rolled JSON: backslash, quote, and every
 /// control character in `\u{0000}`–`\u{001f}` (newlines and tabs would otherwise emit
-/// invalid JSON).
-pub(crate) fn escape(s: &str) -> String {
+/// invalid JSON). The workspace's one JSON string escaper: the bench harness and the
+/// study reports write their names through it too.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -1461,6 +1462,8 @@ mod tests {
         assert_eq!(escape("cr\rhere"), "cr\\rhere");
         assert_eq!(escape("bell\u{0007}null\u{0000}"), "bell\\u0007null\\u0000");
         assert_eq!(escape("\u{001f}"), "\\u001f");
+        assert_eq!(escape("line1\nline2\tend\r"), "line1\\nline2\\tend\\r");
+        assert_eq!(escape("bell\u{7}"), "bell\\u0007");
         // 0x20 and above pass through.
         assert_eq!(escape("ünïcode ok"), "ünïcode ok");
         // A report named with embedded newlines still emits valid JSON: no raw control

@@ -690,17 +690,15 @@ fn main() {
             // Fire early (after 5 served sub-requests) so the fault lands even on the
             // coldest shard of a frequency-packed placement.
             let plan = Arc::new(ChaosPlan::new(spec, 5));
+            let mut chaos_options = ClusterOptions::default();
+            chaos_options.chaos = Some(plan.clone());
             let (mut chaos_engine, chaos_handle) = ServeEngine::new_clustered_with(
                 Dlrm::new(model_config()).expect("valid config"),
                 &items,
                 serve_config(cache_capacity),
                 &chaos_cluster,
                 Some(&histogram),
-                ClusterOptions {
-                    chaos: Some(plan.clone()),
-                    clock: None,
-                    node_cache: None,
-                },
+                chaos_options,
             )
             .expect("valid chaos engine");
             if tracing {
