@@ -37,7 +37,6 @@ pub mod error;
 pub mod fefet;
 pub mod sense_amp;
 pub mod technology;
-pub mod variation;
 pub mod wire;
 
 pub use calibration::CalibrationReport;

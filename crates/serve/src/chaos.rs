@@ -10,10 +10,11 @@
 //! run off the injected [`Clock`](crate::clock::Clock), so tests freeze them with
 //! [`ManualClock`](crate::clock::ManualClock).
 //!
-//! The same plan drives both transports: the in-process cluster checks it inside
-//! [`run_shard_worker`](crate::cluster)'s loop, and the socket transport ships it to a
-//! shard-node process as a `CHAOS` frame ([`crate::transport`]), where a kill becomes a
-//! real `process::exit` mid-replay.
+//! The same plan drives both transports, because both run the same shard node
+//! ([`crate::cluster`]) and the node asks [`ChaosPlan`] what each fetch suffers: the
+//! in-process cluster hands its nodes the plan directly, the socket transport ships it
+//! to a shard-node process as a `CHAOS` frame ([`crate::transport`]) that decodes back
+//! into a plan — there a kill becomes a real `process::exit` mid-replay.
 //!
 //! Specs parse from `"<fault>:<shard>"` strings (the `serve_replay --chaos` flag):
 //! `kill:1`, `stall:0`, `slow:2`, `drop:3`.
@@ -45,15 +46,32 @@ pub enum FaultKind {
     },
 }
 
+/// The faults' codes on the transport's `CHAOS` frame.
+const WIRE_KILL: u8 = 1;
+const WIRE_STALL: u8 = 2;
+const WIRE_SLOW: u8 = 3;
+const WIRE_DROP: u8 = 4;
+
 impl FaultKind {
     /// Wire encoding for the transport's `CHAOS` frame: `(fault code, param)`.
     pub(crate) fn wire_code(self) -> (u8, u64) {
         match self {
-            FaultKind::Kill => (1, 0),
-            FaultKind::Stall => (2, 0),
-            FaultKind::Slow { delay_us } => (3, delay_us),
-            FaultKind::DropFrames { frames } => (4, frames),
+            FaultKind::Kill => (WIRE_KILL, 0),
+            FaultKind::Stall => (WIRE_STALL, 0),
+            FaultKind::Slow { delay_us } => (WIRE_SLOW, delay_us),
+            FaultKind::DropFrames { frames } => (WIRE_DROP, frames),
         }
+    }
+
+    /// The inverse of [`FaultKind::wire_code`]; `None` for a code no fault has.
+    pub(crate) fn from_wire(code: u8, param: u64) -> Option<Self> {
+        Some(match code {
+            WIRE_KILL => FaultKind::Kill,
+            WIRE_STALL => FaultKind::Stall,
+            WIRE_SLOW => FaultKind::Slow { delay_us: param },
+            WIRE_DROP => FaultKind::DropFrames { frames: param },
+            _ => return None,
+        })
     }
 }
 
@@ -267,5 +285,23 @@ mod tests {
         assert_eq!(stall.action(0), FaultAction::Stall);
         let (code, param) = FaultKind::Slow { delay_us: 7 }.wire_code();
         assert_eq!((code, param), (3, 7));
+    }
+
+    #[test]
+    fn wire_codes_round_trip_for_every_fault_and_reject_the_rest() {
+        for kind in [
+            FaultKind::Kill,
+            FaultKind::Stall,
+            FaultKind::Slow { delay_us: 2_000 },
+            FaultKind::DropFrames { frames: 2 },
+        ] {
+            let (code, param) = kind.wire_code();
+            assert_eq!(FaultKind::from_wire(code, param), Some(kind), "{kind:?}");
+        }
+        // Zero was the old "no fault armed" sentinel; neither it nor anything past the
+        // last fault decodes.
+        for code in [0u8, 5, 255] {
+            assert_eq!(FaultKind::from_wire(code, 0), None, "code {code}");
+        }
     }
 }

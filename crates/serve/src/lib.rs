@@ -48,8 +48,8 @@
 //!   shard-node-side server spans propagated over the UDS trace context, seeded
 //!   head-based sampling into a bounded log, a slow-query log, and a
 //!   Chrome-trace-event JSON exporter (Perfetto-loadable);
-//! * [`metrics`] — the live metrics plane: a lock-cheap counter/gauge/histogram
-//!   registry scraped into fixed event-time windows by a deterministic
+//! * [`metrics`] — the live metrics plane: lock-cheap per-window counts and a latency
+//!   histogram scraped into fixed event-time windows by a deterministic
 //!   [`MetricsScraper`], a per-window time-series section in the report JSON,
 //!   and a Prometheus-style text exposition with histogram exemplars linking
 //!   tail buckets to retained traces.
@@ -85,8 +85,8 @@ pub use engine::{
 };
 pub use error::ServeError;
 pub use metrics::{
-    exposition, Counter, Gauge, Histogram, MetricsConfig, MetricsScraper, MetricsSeries,
-    ShardFaultDelta, StageExemplars, WindowSample,
+    exposition, MetricsConfig, MetricsScraper, MetricsSeries, ShardFaultDelta, StageExemplars,
+    WindowSample,
 };
 pub use placement::{Placement, ShardPlan, ShardSplit, SubBatch};
 pub use queue::{BoundedQueue, Pop, PushError};

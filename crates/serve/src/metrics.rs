@@ -12,9 +12,9 @@
 //! windows merge commutatively at shutdown, which is what makes the series
 //! byte-identical across worker counts on a [`crate::clock::ManualClock`].
 //!
-//! The registry primitives are deliberately tiny: a monotonic [`Counter`], a
-//! point-in-time [`Gauge`], and a log-bucketed [`Histogram`] that reuses
-//! [`LatencyHistogram`]'s buckets so offline tooling sees one bucket layout
+//! A window's instruments are plain per-worker-owned values — `u64` counts
+//! and a [`LatencyHistogram`], merged at shutdown, so no atomics are needed
+//! (the whole "lock-cheap" trick) and offline tooling sees one bucket layout
 //! everywhere. [`exposition`] renders a report as Prometheus text format
 //! (OpenMetrics-style exemplars included): each stage-histogram bucket carries
 //! the trace id of its worst retained sample, linking "p99 is NN%
@@ -25,87 +25,6 @@ use std::fmt::Write as _;
 
 use crate::telemetry::{LatencyHistogram, ServeReport};
 use crate::trace::{Stage, TraceLog};
-
-/// A monotonically increasing counter (per-worker owned, merged at shutdown —
-/// no atomics needed, which is the whole "lock-cheap" trick).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Self(0)
-    }
-
-    /// Increment by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Fold another counter's increments into this one.
-    pub fn merge(&mut self, other: &Counter) {
-        self.0 += other.0;
-    }
-}
-
-/// A point-in-time measurement (queue depth, utilization, hit rate).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub fn new() -> Self {
-        Self(0.0)
-    }
-
-    /// Replace the measurement.
-    pub fn set(&mut self, value: f64) {
-        self.0 = value;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        self.0
-    }
-}
-
-/// A log-bucketed histogram instrument: a thin registry wrapper that reuses
-/// [`LatencyHistogram`]'s bucket layout, so per-window quantiles and the
-/// end-of-run report share one resolution.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Histogram(LatencyHistogram);
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self(LatencyHistogram::new())
-    }
-
-    /// Record one observation in microseconds.
-    pub fn observe(&mut self, value_us: f64) {
-        self.0.record(value_us);
-    }
-
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.0.merge(&other.0);
-    }
-
-    /// The wrapped latency histogram (quantiles, buckets, count).
-    pub fn snapshot(&self) -> &LatencyHistogram {
-        &self.0
-    }
-}
 
 /// Configuration of the metrics plane: the scrape interval on the engine's
 /// injected clock.
@@ -164,17 +83,17 @@ impl ShardFaultDelta {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowMetrics {
     /// Queries that arrived (were accepted into the system) in this window.
-    pub arrivals: Counter,
+    pub arrivals: u64,
     /// Queries whose batch completed in this window.
-    pub completions: Counter,
+    pub completions: u64,
     /// Batches that completed in this window.
-    pub batches: Counter,
+    pub batches: u64,
     /// End-to-end latency of the queries completed in this window.
-    pub latency: Histogram,
+    pub latency: LatencyHistogram,
     /// Router-cache hits charged to batches completed in this window.
-    pub cache_hits: Counter,
+    pub cache_hits: u64,
     /// Router-cache misses charged to batches completed in this window.
-    pub cache_misses: Counter,
+    pub cache_misses: u64,
     /// Per-shard fault counters (timeouts / retries / promotions) attributed
     /// to batches completed in this window.
     pub shard_faults: Vec<ShardFaultDelta>,
@@ -189,12 +108,12 @@ impl WindowMetrics {
     }
 
     fn merge(&mut self, other: &WindowMetrics) {
-        self.arrivals.merge(&other.arrivals);
-        self.completions.merge(&other.completions);
-        self.batches.merge(&other.batches);
+        self.arrivals += other.arrivals;
+        self.completions += other.completions;
+        self.batches += other.batches;
         self.latency.merge(&other.latency);
-        self.cache_hits.merge(&other.cache_hits);
-        self.cache_misses.merge(&other.cache_misses);
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
         if self.shard_faults.len() < other.shard_faults.len() {
             self.shard_faults
                 .resize(other.shard_faults.len(), ShardFaultDelta::default());
@@ -259,7 +178,7 @@ impl MetricsScraper {
     /// Record one query accepted into the system at `at_us` (its submit /
     /// arrival stamp on the injected clock).
     pub fn record_arrival(&mut self, at_us: f64) {
-        self.window_mut(at_us).arrivals.inc();
+        self.window_mut(at_us).arrivals += 1;
     }
 
     /// Record one completed batch: per-query end-to-end latencies, the router
@@ -274,13 +193,13 @@ impl MetricsScraper {
         faults: &[ShardFaultDelta],
     ) {
         let window = self.window_mut(completed_us);
-        window.batches.inc();
-        window.completions.add(latencies_us.len() as u64);
+        window.batches += 1;
+        window.completions += latencies_us.len() as u64;
         for &latency in latencies_us {
-            window.latency.observe(latency);
+            window.latency.record(latency);
         }
-        window.cache_hits.add(cache_hits);
-        window.cache_misses.add(cache_misses);
+        window.cache_hits += cache_hits;
+        window.cache_misses += cache_misses;
         if window.shard_faults.len() < faults.len() {
             window
                 .shard_faults
@@ -315,8 +234,8 @@ impl MetricsScraper {
         let mut windows = Vec::with_capacity(self.windows.len());
         let mut in_flight: i64 = 0;
         for (&index, window) in &self.windows {
-            in_flight += window.arrivals.get() as i64;
-            in_flight -= window.completions.get() as i64;
+            in_flight += window.arrivals as i64;
+            in_flight -= window.completions as i64;
             let mut shard_timeouts = Vec::with_capacity(self.shards);
             let mut shard_retries = Vec::with_capacity(self.shards);
             let mut shard_promotions = Vec::with_capacity(self.shards);
@@ -326,18 +245,17 @@ impl MetricsScraper {
                 shard_retries.push(delta.retries);
                 shard_promotions.push(delta.promotions);
             }
-            let latency = window.latency.snapshot();
             windows.push(WindowSample {
                 index,
                 start_us: index as f64 * self.interval_us,
-                arrivals: window.arrivals.get(),
-                completions: window.completions.get(),
-                batches: window.batches.get(),
-                qps: rate_per_second(window.completions.get(), self.interval_us),
-                p50_us: latency.quantile_us(0.50),
-                p99_us: latency.quantile_us(0.99),
-                cache_hits: window.cache_hits.get(),
-                cache_misses: window.cache_misses.get(),
+                arrivals: window.arrivals,
+                completions: window.completions,
+                batches: window.batches,
+                qps: rate_per_second(window.completions, self.interval_us),
+                p50_us: window.latency.quantile_us(0.50),
+                p99_us: window.latency.quantile_us(0.99),
+                cache_hits: window.cache_hits,
+                cache_misses: window.cache_misses,
                 queue_depth: in_flight.max(0) as u64,
                 shard_timeouts,
                 shard_retries,
@@ -782,28 +700,6 @@ pub fn exposition(report: &ServeReport, log: Option<&TraceLog>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_gauges_and_histograms_do_registry_things() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        let mut other = Counter::new();
-        other.add(5);
-        c.merge(&other);
-        assert_eq!(c.get(), 10);
-        let mut g = Gauge::new();
-        g.set(3.25);
-        assert_eq!(g.get(), 3.25);
-        let mut h = Histogram::new();
-        h.observe(10.0);
-        h.observe(1000.0);
-        let mut h2 = Histogram::new();
-        h2.observe(10.0);
-        h.merge(&h2);
-        assert_eq!(h.snapshot().count(), 3);
-        assert_eq!(h.snapshot().max_us(), 1000.0);
-    }
 
     #[test]
     fn scraping_buckets_events_by_event_time_and_merges_commutatively() {

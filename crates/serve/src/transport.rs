@@ -21,17 +21,19 @@
 //! | 2 | `FETCH` | `trace u8` (trace-context flag), then `count × row u32`; the response echoes the tag |
 //! | 3 | `ROWS` | requested rows' bytes concatenated in request order |
 //! | 4 | `ERROR` | UTF-8 description; the connection is considered poisoned |
-//! | 5 | `CHAOS` | `fault u8, fire_after u64, param u64` (fault-injection control) |
+//! | 5 | `CHAOS` | `fault u8` ([`FaultKind`] wire code), `fire_after u64, param u64`: arm fault injection; an unknown code is a protocol violation |
 //! | 6 | `SHUTDOWN` | empty; the node stops accepting and exits its accept loop |
 //! | 7 | `CACHE` | `capacity u64, policy u8`; arm the node's hot-row cache |
 //! | 8 | `STATS` | `hits, misses, insertions, evictions, rejections` (`u64` each): one fetch's node-cache counter deltas, sent before its `ROWS` frame |
 //! | 9 | `NODE_SPAN` | `queue_wait, cache_probe, storage_read` (`f64` µs each): the node's server-side span for one traced fetch, sent before its `ROWS` frame |
 //!
-//! The shard node ([`run_shard_node`]) is type-agnostic: it stores rows as opaque byte
-//! blobs keyed by global row id (`elem_bytes` comes from the `LOAD` frame), so one node
-//! binary serves fp32 and int8 tables alike. Multiple connections share the loaded
-//! storage — the threaded runtime's per-worker router clones each dial their own
-//! connection.
+//! The shard node ([`run_shard_node`]) is the same `ShardNode` the in-process cluster
+//! runs, over bytes: it stores rows as opaque byte blobs keyed by global row id
+//! (`elem_bytes` comes from the `LOAD` frame) and serves them as a `ShardNode<u8>`
+//! whose row width is the row's byte count, so one node binary serves fp32 and int8
+//! tables alike and this module adds only the frame codec around `serve`. Multiple
+//! connections share the node — the threaded runtime's per-worker router clones each
+//! dial their own connection.
 //!
 //! The client side (`SocketLink`) gives the router queue-identical semantics:
 //! a **bounded write-ahead queue** feeds a writer thread, so backpressure surfaces as
@@ -45,13 +47,17 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::cache::{CachePolicy, CacheStats, HotRowCache};
-use crate::cluster::{ClusterCounters, SubResponse};
+use crate::cache::{CachePolicy, CacheStats};
+use crate::chaos::{ChaosPlan, FaultAction, FaultKind, FaultSpec};
+use crate::clock::{Clock, WallClock};
+use crate::cluster::{
+    ClusterCounters, NodeCacheConfig, NodeRows, ShardNode, SubResponse, Unserved,
+};
 use crate::queue::{BoundedQueue, Pop, PushError};
 use crate::shard::Lane;
 use crate::trace::NodeSpan;
@@ -83,6 +89,10 @@ pub const MAX_FRAME_BYTES: usize = 256 << 20;
 /// Bytes of frame header after the length prefix: kind + shard + tag.
 const HEADER_BYTES: usize = 1 + 4 + 8;
 
+/// Most payload bytes a reader makes room for before they have arrived. The length
+/// prefix is four untrusted bytes; memory must follow what the peer actually sends.
+const READ_STEP_BYTES: usize = 1 << 20;
+
 /// How long a stalled peer may block the writer thread before the link declares the
 /// write failed and closes (a stalled node stops draining its socket; the OS buffer
 /// is finite, and the writer must not hang [`SocketLink`]'s drop path forever).
@@ -104,14 +114,7 @@ pub struct Frame {
 impl Frame {
     /// Serialize into length-prefixed wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let body = HEADER_BYTES + self.payload.len();
-        let mut out = Vec::with_capacity(4 + body);
-        out.extend_from_slice(&(body as u32).to_le_bytes());
-        out.push(self.kind);
-        out.extend_from_slice(&self.shard.to_le_bytes());
-        out.extend_from_slice(&self.tag.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        encode_frame(self.kind, self.shard, self.tag, &self.payload)
     }
 
     /// Read one frame off a byte stream.
@@ -121,24 +124,44 @@ impl Frame {
     /// I/O errors from the stream, or [`io::ErrorKind::InvalidData`] when the length
     /// prefix is shorter than a header or larger than [`MAX_FRAME_BYTES`].
     pub fn read_from(reader: &mut impl Read) -> io::Result<Frame> {
-        let mut prefix = [0u8; 4];
-        reader.read_exact(&mut prefix)?;
-        let length = u32::from_le_bytes(prefix) as usize;
+        let mut head = [0u8; 4 + HEADER_BYTES];
+        reader.read_exact(&mut head[..4])?;
+        let length = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
         if !(HEADER_BYTES..=MAX_FRAME_BYTES).contains(&length) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("frame length {length} outside [{HEADER_BYTES}, {MAX_FRAME_BYTES}]"),
             ));
         }
-        let mut body = vec![0u8; length];
-        reader.read_exact(&mut body)?;
+        reader.read_exact(&mut head[4..])?;
+        // The payload is read in place, a bounded step at a time, so a prefix that
+        // claims more than the stream holds fails after allocating one step.
+        let mut payload = Vec::new();
+        while payload.len() < length - HEADER_BYTES {
+            let filled = payload.len();
+            let step = (length - HEADER_BYTES - filled).min(READ_STEP_BYTES);
+            payload.resize(filled + step, 0);
+            reader.read_exact(&mut payload[filled..])?;
+        }
         Ok(Frame {
-            kind: body[0],
-            shard: u32::from_le_bytes(body[1..5].try_into().expect("4 bytes")),
-            tag: u64::from_le_bytes(body[5..13].try_into().expect("8 bytes")),
-            payload: body[HEADER_BYTES..].to_vec(),
+            kind: head[4],
+            shard: u32::from_le_bytes(head[5..9].try_into().expect("4 bytes")),
+            tag: u64::from_le_bytes(head[9..17].try_into().expect("8 bytes")),
+            payload,
         })
     }
+}
+
+/// The wire bytes of one frame: length prefix, header, payload.
+fn encode_frame(kind: u8, shard: u32, tag: u64, payload: &[u8]) -> Vec<u8> {
+    let body = HEADER_BYTES + payload.len();
+    let mut out = Vec::with_capacity(4 + body);
+    out.extend_from_slice(&(body as u32).to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(&shard.to_le_bytes());
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(payload);
+    out
 }
 
 /// Encode a `LOAD` frame carrying `resident` rows of the catalogue, read straight from
@@ -160,13 +183,7 @@ pub(crate) fn encode_load<T: Lane>(
             value.to_wire(&mut payload);
         }
     }
-    Frame {
-        kind: KIND_LOAD,
-        shard,
-        tag: 0,
-        payload,
-    }
-    .encode()
+    encode_frame(KIND_LOAD, shard, 0, &payload)
 }
 
 /// Encode a `FETCH` frame for `rows`. When `traced` is set the node measures its
@@ -178,44 +195,50 @@ pub(crate) fn encode_fetch(shard: u32, tag: u64, rows: &[u32], traced: bool) -> 
     for &row in rows {
         payload.extend_from_slice(&row.to_le_bytes());
     }
-    Frame {
-        kind: KIND_FETCH,
-        shard,
-        tag,
-        payload,
-    }
-    .encode()
+    encode_frame(KIND_FETCH, shard, tag, &payload)
 }
 
-/// Encode a `CHAOS` frame arming `fault` (a [`crate::chaos::FaultKind`] wire code)
-/// after `fire_after` served fetches, with a fault-specific `param`.
-pub(crate) fn encode_chaos(shard: u32, fault: u8, fire_after: u64, param: u64) -> Vec<u8> {
+/// Encode a `CHAOS` frame arming `fault` after `fire_after` served fetches.
+pub(crate) fn encode_chaos(shard: u32, fault: FaultKind, fire_after: u64) -> Vec<u8> {
+    let (code, param) = fault.wire_code();
     let mut payload = Vec::with_capacity(17);
-    payload.push(fault);
+    payload.push(code);
     payload.extend_from_slice(&fire_after.to_le_bytes());
     payload.extend_from_slice(&param.to_le_bytes());
-    Frame {
-        kind: KIND_CHAOS,
-        shard,
-        tag: 0,
-        payload,
-    }
-    .encode()
+    encode_frame(KIND_CHAOS, shard, 0, &payload)
 }
 
-/// Encode a `CACHE` frame arming a hot-row cache of `capacity` rows under `policy` on
-/// the node.
-pub(crate) fn encode_cache_config(shard: u32, capacity: u64, policy: CachePolicy) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(9);
-    payload.extend_from_slice(&capacity.to_le_bytes());
-    payload.push(policy.wire_code());
-    Frame {
-        kind: KIND_CACHE,
-        shard,
-        tag: 0,
-        payload,
+/// Decode a `CHAOS` payload into the plan it arms on shard `shard` (`None` when
+/// malformed or naming an unknown fault).
+fn decode_chaos(shard: u32, payload: &[u8]) -> Option<ChaosPlan> {
+    if payload.len() != 17 {
+        return None;
     }
-    .encode()
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
+    let spec = FaultSpec {
+        kind: FaultKind::from_wire(payload[0], word(9))?,
+        shard: shard as usize,
+    };
+    Some(ChaosPlan::new(spec, word(1)))
+}
+
+/// Encode a `CACHE` frame arming the node's hot-row cache with `config`.
+pub(crate) fn encode_cache_config(shard: u32, config: NodeCacheConfig) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(9);
+    payload.extend_from_slice(&(config.capacity as u64).to_le_bytes());
+    payload.push(config.policy.wire_code());
+    encode_frame(KIND_CACHE, shard, 0, &payload)
+}
+
+/// Decode a `CACHE` payload (`None` when malformed or naming an unknown policy).
+fn decode_cache_config(payload: &[u8]) -> Option<NodeCacheConfig> {
+    if payload.len() != 9 {
+        return None;
+    }
+    Some(NodeCacheConfig {
+        capacity: u64::from_le_bytes(payload[..8].try_into().expect("8 bytes")) as usize,
+        policy: CachePolicy::from_wire(payload[8])?,
+    })
 }
 
 /// Encode a `STATS` frame reporting one fetch's node-cache counter deltas.
@@ -230,13 +253,7 @@ fn encode_stats(shard: u32, tag: u64, delta: &CacheStats) -> Vec<u8> {
     ] {
         payload.extend_from_slice(&value.to_le_bytes());
     }
-    Frame {
-        kind: KIND_STATS,
-        shard,
-        tag,
-        payload,
-    }
-    .encode()
+    encode_frame(KIND_STATS, shard, tag, &payload)
 }
 
 /// Encode a `NODE_SPAN` frame carrying one traced fetch's server-side span.
@@ -249,13 +266,7 @@ fn encode_node_span(shard: u32, tag: u64, span: &NodeSpan) -> Vec<u8> {
     ] {
         payload.extend_from_slice(&value.to_le_bytes());
     }
-    Frame {
-        kind: KIND_NODE_SPAN,
-        shard,
-        tag,
-        payload,
-    }
-    .encode()
+    encode_frame(KIND_NODE_SPAN, shard, tag, &payload)
 }
 
 /// Decode a `NODE_SPAN` payload back into a span (`None` when malformed).
@@ -291,24 +302,20 @@ fn decode_stats(payload: &[u8]) -> Option<CacheStats> {
 
 /// Encode a `SHUTDOWN` frame.
 pub(crate) fn encode_shutdown(shard: u32) -> Vec<u8> {
-    Frame {
-        kind: KIND_SHUTDOWN,
-        shard,
-        tag: 0,
-        payload: Vec::new(),
-    }
-    .encode()
+    encode_frame(KIND_SHUTDOWN, shard, 0, &[])
 }
 
-/// A shard node's byte-blob row store, installed by a `LOAD` frame.
+/// A socket node's rows: opaque wire bytes keyed by global row id, installed by a
+/// `LOAD` frame. The node is type-agnostic, so it stores (and caches) wire bytes
+/// exactly as received — a row is `row_bytes` values of `u8`.
 #[derive(Debug, Default)]
-struct NodeStorage {
+pub(crate) struct BlobRows {
     row_bytes: usize,
     rows: HashMap<u32, Vec<u8>>,
 }
 
-impl NodeStorage {
-    fn decode(payload: &[u8]) -> io::Result<Self> {
+impl BlobRows {
+    pub(crate) fn decode(payload: &[u8]) -> io::Result<Self> {
         let bad = || io::Error::new(io::ErrorKind::InvalidData, "malformed LOAD payload");
         if payload.len() < 12 {
             return Err(bad());
@@ -331,52 +338,32 @@ impl NodeStorage {
     }
 }
 
-/// A node's hot-row cache arming, set by a `CACHE` frame. The cache itself is built
-/// lazily on the first fetch after both the config and the storage (which fixes the
-/// row width) are known, and is shared by every connection — the node caches where
-/// its rows live, regardless of how many router clones dial in.
-#[derive(Debug, Default)]
-struct NodeCache {
-    capacity: usize,
-    policy: CachePolicy,
-    /// The byte-blob cache (`dim` = row bytes): the node is type-agnostic, so it
-    /// caches wire bytes exactly as stored.
-    cache: Option<HotRowCache<u8>>,
-}
+impl NodeRows<u8> for BlobRows {
+    fn row(&self, row: u32) -> Option<&[u8]> {
+        self.rows.get(&row).map(Vec::as_slice)
+    }
 
-impl NodeCache {
-    /// The armed cache, created on first use once `row_bytes` is known. `None` when
-    /// node caching is off (or storage is not loaded yet).
-    fn armed(&mut self, row_bytes: usize) -> Option<&mut HotRowCache<u8>> {
-        if self.capacity == 0 || row_bytes == 0 {
-            return None;
-        }
-        if self.cache.is_none() {
-            self.cache = Some(HotRowCache::with_policy(
-                self.capacity,
-                row_bytes,
-                self.policy,
-            ));
-        }
-        self.cache.as_mut()
+    fn dim(&self) -> usize {
+        self.row_bytes
     }
 }
 
-/// A node's armed fault, set by a `CHAOS` frame (zero kind = none).
-#[derive(Debug, Default)]
-struct NodeChaos {
-    fault: AtomicU8,
-    fire_after: AtomicU64,
-    param: AtomicU64,
-    served: AtomicU64,
-    dropped: AtomicU64,
+/// What every connection of one shard-node process shares.
+struct SocketNode {
+    /// Fetches serve under the read lock; `LOAD` / `CACHE` / `CHAOS` re-arm under the
+    /// write lock.
+    node: RwLock<ShardNode<u8>>,
+    /// The node's own clock: a socket carries no shared clock, so a traced fetch's
+    /// span is wall time at this process, stamped from the frame's arrival.
+    clock: WallClock,
+    stop: AtomicBool,
 }
 
 /// Serve one shard node on a Unix socket until a `SHUTDOWN` frame arrives. This is the
 /// body of the `serve_replay --shard-node <socket>` process mode: bind, accept, serve
 /// `LOAD`/`FETCH` frames, honour `CHAOS` arming. All accepted connections share the
-/// loaded storage. A `CHAOS` kill exits the whole process (code 3) — run the node in
-/// its own process, never in a thread of something you care about.
+/// node. A `CHAOS` kill exits the whole process (code 3) — run the node in its own
+/// process, never in a thread of something you care about.
 ///
 /// # Errors
 ///
@@ -385,23 +372,19 @@ pub fn run_shard_node(path: &Path) -> io::Result<()> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
     listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let storage = Arc::new(Mutex::new(NodeStorage::default()));
-    let cache = Arc::new(Mutex::new(NodeCache::default()));
-    let chaos = Arc::new(NodeChaos::default());
-    while !stop.load(Ordering::SeqCst) {
+    let shared = Arc::new(SocketNode {
+        node: RwLock::new(ShardNode::new(0, Box::<BlobRows>::default(), None, None)),
+        clock: WallClock::new(),
+        stop: AtomicBool::new(false),
+    });
+    while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                let storage = storage.clone();
-                let cache = cache.clone();
-                let chaos = chaos.clone();
-                let stop = stop.clone();
+                let shared = shared.clone();
                 // Connection threads are not joined: each exits on its own EOF (the
                 // client hangs up) or when `stop` trips; the accept loop only has to
                 // stop handing out new ones.
-                std::thread::spawn(move || {
-                    serve_connection(stream, &storage, &cache, &chaos, &stop)
-                });
+                std::thread::spawn(move || serve_connection(stream, &shared));
             }
             Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
@@ -413,214 +396,98 @@ pub fn run_shard_node(path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-fn serve_connection(
-    mut stream: UnixStream,
-    storage: &Mutex<NodeStorage>,
-    cache: &Mutex<NodeCache>,
-    chaos: &NodeChaos,
-    stop: &AtomicBool,
-) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
+/// The socket transport's node side: decode frames, [`ShardNode::serve`], encode the
+/// reply. Returning ends the connection — the peer hung up, broke the protocol, or the
+/// node is stopping.
+fn serve_connection(mut stream: UnixStream, shared: &SocketNode) {
+    let error = |frame: &Frame, reason: &str| {
+        encode_frame(KIND_ERROR, frame.shard, frame.tag, reason.as_bytes())
+    };
+    while !shared.stop.load(Ordering::SeqCst) {
+        // EOF or a corrupt stream: this connection is done.
+        let Ok(frame) = Frame::read_from(&mut stream) else {
             return;
-        }
-        let frame = match Frame::read_from(&mut stream) {
-            Ok(frame) => frame,
-            Err(_) => return, // EOF or corrupt stream: this connection is done
         };
+        let rearm = || shared.node.write().expect("shard node lock");
         match frame.kind {
-            KIND_LOAD => match NodeStorage::decode(&frame.payload) {
-                Ok(loaded) => *storage.lock().expect("node storage lock") = loaded,
+            KIND_LOAD => match BlobRows::decode(&frame.payload) {
+                Ok(rows) => rearm().load(frame.shard as usize, Box::new(rows)),
                 Err(_) => {
-                    let _ = stream.write_all(
-                        &Frame {
-                            kind: KIND_ERROR,
-                            shard: frame.shard,
-                            tag: frame.tag,
-                            payload: b"malformed LOAD".to_vec(),
-                        }
-                        .encode(),
-                    );
+                    let _ = stream.write_all(&error(&frame, "malformed LOAD"));
                     return;
                 }
             },
             KIND_FETCH => {
-                match armed_fault(chaos) {
-                    1 => std::process::exit(3), // chaos kill: the node dies mid-replay
-                    2 => {
-                        // Stall: stay connected but never answer again.
-                        while !stop.load(Ordering::SeqCst) {
+                // Leading trace-context flag byte; row ids follow. A traced fetch gets
+                // the node's own span (queue wait = frame arrival to service, cache
+                // probe, storage read) shipped back on a `NODE_SPAN` frame.
+                let traced = frame.payload.first().is_some_and(|&flag| flag != 0);
+                let trace = traced.then(|| (&shared.clock as &dyn Clock, shared.clock.now_us()));
+                let (ids, ragged) = frame.payload.get(1..).unwrap_or(&[]).as_chunks::<4>();
+                if !ragged.is_empty() {
+                    if stream.write_all(&error(&frame, "ragged FETCH")).is_err() {
+                        return;
+                    }
+                    continue;
+                }
+                let rows: Vec<u32> = ids.iter().map(|id| u32::from_le_bytes(*id)).collect();
+                let served = shared
+                    .node
+                    .read()
+                    .expect("shard node lock")
+                    .serve(&rows, trace);
+                // STATS travels *before* the data frame: the link's reader folds the
+                // delta into the shared counters and only then delivers the rows, so by
+                // the time the router gathers a reply the node-cache counters already
+                // cover it (the happens-before the in-process workers give). The span
+                // frame precedes the rows for the same reason.
+                let (shard, tag) = (frame.shard, frame.tag);
+                let reply = match served {
+                    Ok(served) => [
+                        served
+                            .cache_delta
+                            .map(|delta| encode_stats(shard, tag, &delta)),
+                        served
+                            .node_span
+                            .map(|span| encode_node_span(shard, tag, &span)),
+                        Some(encode_frame(KIND_ROWS, shard, tag, &served.data)),
+                    ],
+                    // Chaos kill: the node dies mid-replay.
+                    Err(Unserved::Fault(FaultAction::Kill)) => std::process::exit(3),
+                    Err(Unserved::Fault(FaultAction::Stall)) => {
+                        // Stay connected but never answer again.
+                        while !shared.stop.load(Ordering::SeqCst) {
                             std::thread::sleep(Duration::from_millis(5));
                         }
                         return;
                     }
-                    3 => std::thread::sleep(Duration::from_micros(
-                        chaos.param.load(Ordering::SeqCst),
-                    )),
-                    4 => continue, // drop the reply frame on the floor
-                    _ => {}
-                }
-                // Leading trace-context flag byte; row ids follow. A traced fetch
-                // measures the node's own span (queue wait = time to the storage
-                // lock, cache probe, storage read) on its wall clock and ships it
-                // back on a `NODE_SPAN` frame ahead of the rows.
-                let traced = frame.payload.first().copied().unwrap_or(0) != 0;
-                let rows_payload = frame.payload.get(1..).unwrap_or(&[]);
-                let fetch_started = traced.then(std::time::Instant::now);
-                let mut span = NodeSpan::default();
-                let (response, stats_delta) = {
-                    let storage = storage.lock().expect("node storage lock");
-                    let mut node_cache = cache.lock().expect("node cache lock");
-                    if let Some(started) = fetch_started {
-                        span.queue_wait_us = started.elapsed().as_secs_f64() * 1e6;
-                    }
-                    let mut cache = node_cache.armed(storage.row_bytes);
-                    let before = cache.as_deref().map(|cache| cache.stats());
-                    let mut payload =
-                        Vec::with_capacity(rows_payload.len() / 4 * storage.row_bytes);
-                    let mut missing = false;
-                    for id in rows_payload.chunks_exact(4) {
-                        let row = u32::from_le_bytes(id.try_into().expect("4 bytes"));
-                        let probe_started = fetch_started.map(|_| std::time::Instant::now());
-                        let cached = cache.as_deref_mut().and_then(|cache| {
-                            cache
-                                .lookup(row)
-                                .map(|bytes| payload.extend_from_slice(bytes))
-                        });
-                        if let Some(started) = probe_started {
-                            span.cache_probe_us += started.elapsed().as_secs_f64() * 1e6;
-                        }
-                        if cached.is_some() {
-                            continue;
-                        }
-                        let read_started = fetch_started.map(|_| std::time::Instant::now());
-                        match storage.rows.get(&row) {
-                            Some(bytes) => {
-                                payload.extend_from_slice(bytes);
-                                if let Some(cache) = cache.as_deref_mut() {
-                                    cache.insert(row, bytes);
-                                }
-                            }
-                            None => {
-                                missing = true;
-                                break;
-                            }
-                        }
-                        if let Some(started) = read_started {
-                            span.storage_read_us += started.elapsed().as_secs_f64() * 1e6;
-                        }
-                    }
-                    let delta = before
-                        .zip(cache.as_deref())
-                        .map(|(before, cache)| cache.stats().delta_since(&before));
-                    if missing {
-                        (
-                            Frame {
-                                kind: KIND_ERROR,
-                                shard: frame.shard,
-                                tag: frame.tag,
-                                payload: b"row not resident".to_vec(),
-                            },
-                            delta,
-                        )
-                    } else {
-                        (
-                            Frame {
-                                kind: KIND_ROWS,
-                                shard: frame.shard,
-                                tag: frame.tag,
-                                payload,
-                            },
-                            delta,
-                        )
+                    Err(Unserved::Fault(_)) => continue, // the reply is dropped on the floor
+                    Err(Unserved::NotResident(_)) => {
+                        [None, None, Some(error(&frame, "row not resident"))]
                     }
                 };
-                // STATS travels *before* the data frame: the link's reader folds the
-                // delta into the shared counters and only then delivers the rows, so
-                // by the time the router gathers a reply the node-cache counters
-                // already cover it (same happens-before the in-process workers give).
-                if let Some(delta) = stats_delta {
-                    if stream
-                        .write_all(&encode_stats(frame.shard, frame.tag, &delta))
-                        .is_err()
-                    {
+                for bytes in reply.iter().flatten() {
+                    if stream.write_all(bytes).is_err() {
                         return;
                     }
                 }
-                // The span frame also precedes the rows, so a gathered reply's trace
-                // context is already stashed link-side when the response lands.
-                if traced
-                    && response.kind == KIND_ROWS
-                    && stream
-                        .write_all(&encode_node_span(frame.shard, frame.tag, &span))
-                        .is_err()
-                {
-                    return;
-                }
-                if stream.write_all(&response.encode()).is_err() {
-                    return;
-                }
             }
-            KIND_CHAOS => {
-                if frame.payload.len() == 17 {
-                    chaos.fire_after.store(
-                        u64::from_le_bytes(frame.payload[1..9].try_into().expect("8 bytes")),
-                        Ordering::SeqCst,
-                    );
-                    chaos.param.store(
-                        u64::from_le_bytes(frame.payload[9..17].try_into().expect("8 bytes")),
-                        Ordering::SeqCst,
-                    );
-                    chaos.fault.store(frame.payload[0], Ordering::SeqCst);
-                }
-            }
-            KIND_CACHE => {
-                if frame.payload.len() == 9 {
-                    let capacity =
-                        u64::from_le_bytes(frame.payload[0..8].try_into().expect("8 bytes"))
-                            as usize;
-                    let Some(policy) = CachePolicy::from_wire(frame.payload[8]) else {
-                        return; // unknown policy: protocol violation, drop the link
-                    };
-                    let mut state = cache.lock().expect("node cache lock");
-                    // Re-arming with the same config (a router clone's re-dial) keeps
-                    // the warm cache; a different config rebuilds it cold.
-                    if state.capacity != capacity || state.policy != policy {
-                        *state = NodeCache {
-                            capacity,
-                            policy,
-                            cache: None,
-                        };
-                    }
-                }
-            }
+            // A control frame that does not decode is a protocol violation: drop the link.
+            KIND_CHAOS => match decode_chaos(frame.shard, &frame.payload) {
+                Some(plan) => rearm().arm_chaos(plan),
+                None => return,
+            },
+            KIND_CACHE => match decode_cache_config(&frame.payload) {
+                Some(config) => rearm().arm_cache(config),
+                None => return,
+            },
             KIND_SHUTDOWN => {
-                stop.store(true, Ordering::SeqCst);
+                shared.stop.store(true, Ordering::SeqCst);
                 return;
             }
             _ => return,
         }
     }
-}
-
-/// Which armed fault applies to the fetch being served right now (0 = serve normally).
-fn armed_fault(chaos: &NodeChaos) -> u8 {
-    let fault = chaos.fault.load(Ordering::SeqCst);
-    if fault == 0 {
-        return 0;
-    }
-    let served = chaos.served.fetch_add(1, Ordering::SeqCst) + 1;
-    if served <= chaos.fire_after.load(Ordering::SeqCst) {
-        return 0;
-    }
-    if fault == 4 {
-        // Drop a bounded number of reply frames, then recover.
-        if chaos.dropped.fetch_add(1, Ordering::SeqCst) < chaos.param.load(Ordering::SeqCst) {
-            return 4;
-        }
-        return 0;
-    }
-    fault
 }
 
 /// The client end of one shard-node connection: a bounded write-ahead queue feeding a
@@ -634,6 +501,9 @@ pub(crate) struct SocketLink<T> {
     dim: usize,
     /// Encoded frames awaiting the writer thread — the bounded write-ahead.
     write: Arc<BoundedQueue<Vec<u8>>>,
+    /// Set when the connection is found broken. An atomic beside the queue's own
+    /// closed state, because the router polls it on every gather tick and must not
+    /// contend with the writer thread for the queue's lock while doing so.
     closed: Arc<AtomicBool>,
     /// The encoded handshake bytes — a `LOAD` frame, optionally followed by a `CACHE`
     /// frame — kept so a router clone can re-dial and re-install storage (and re-arm
@@ -670,16 +540,23 @@ impl<T: Lane> SocketLink<T> {
         stream.write_all(&load_frame)?;
         let write: Arc<BoundedQueue<Vec<u8>>> = Arc::new(BoundedQueue::new(write_capacity));
         let closed = Arc::new(AtomicBool::new(false));
+        // Whichever thread finds the connection broken flags the link for the router
+        // and closes the write-ahead queue, which stops the writer.
+        let hang_up = {
+            let (closed, write) = (closed.clone(), write.clone());
+            move || {
+                closed.store(true, Ordering::SeqCst);
+                write.close();
+            }
+        };
         let writer = {
             let mut stream = stream.try_clone()?;
-            let write = write.clone();
-            let closed = closed.clone();
+            let (write, hang_up) = (write.clone(), hang_up.clone());
             std::thread::spawn(move || loop {
                 match write.pop() {
                     Pop::Item(frame) => {
                         if stream.write_all(&frame).is_err() {
-                            closed.store(true, Ordering::SeqCst);
-                            write.close();
+                            hang_up();
                             return;
                         }
                     }
@@ -690,8 +567,6 @@ impl<T: Lane> SocketLink<T> {
         };
         let reader = {
             let mut stream = stream.try_clone()?;
-            let write = write.clone();
-            let closed = closed.clone();
             let counters = counters.clone();
             std::thread::spawn(move || {
                 // Server-side spans arrive on `NODE_SPAN` frames ahead of their
@@ -703,8 +578,7 @@ impl<T: Lane> SocketLink<T> {
                         Err(_) => {
                             // EOF / reset: the node died or hung up. Flag the link; the
                             // shared reply queue stays open for the healthy shards.
-                            closed.store(true, Ordering::SeqCst);
-                            write.close();
+                            hang_up();
                             return;
                         }
                     };
@@ -734,8 +608,7 @@ impl<T: Lane> SocketLink<T> {
                                     }
                                 }
                                 None => {
-                                    closed.store(true, Ordering::SeqCst);
-                                    write.close();
+                                    hang_up();
                                     return;
                                 }
                             }
@@ -745,15 +618,13 @@ impl<T: Lane> SocketLink<T> {
                                 pending_spans.insert(frame.tag, span);
                             }
                             None => {
-                                closed.store(true, Ordering::SeqCst);
-                                write.close();
+                                hang_up();
                                 return;
                             }
                         },
                         _ => {
                             // ERROR (or protocol violation): poison the link.
-                            closed.store(true, Ordering::SeqCst);
-                            write.close();
+                            hang_up();
                             return;
                         }
                     }
@@ -800,32 +671,14 @@ impl<T: Lane> SocketLink<T> {
         self.closed.load(Ordering::SeqCst)
     }
 
-    /// Enqueue an encoded frame without blocking — [`PushError::Full`] is the
-    /// write-ahead bound's backpressure signal.
-    pub(crate) fn try_send(&self, frame: Vec<u8>) -> Result<usize, PushError<Vec<u8>>> {
-        if self.is_closed() {
-            return Err(PushError::Closed(frame));
-        }
-        self.write.try_push(frame)
-    }
-
-    /// Enqueue an encoded frame, waiting at most `timeout` for write-ahead space.
-    pub(crate) fn send_timeout(
-        &self,
-        frame: Vec<u8>,
-        timeout: Duration,
-    ) -> Result<usize, PushError<Vec<u8>>> {
-        if self.is_closed() {
-            return Err(PushError::Closed(frame));
-        }
-        self.write.push_timeout(frame, timeout)
+    /// The bounded write-ahead queue of encoded frames — [`PushError::Full`] is its
+    /// backpressure signal, [`PushError::Closed`] a broken connection.
+    pub(crate) fn outbox(&self) -> &BoundedQueue<Vec<u8>> {
+        &self.write
     }
 
     /// Enqueue an encoded frame, blocking until there is write-ahead space.
     pub(crate) fn send_blocking(&self, frame: Vec<u8>) -> Result<usize, PushError<Vec<u8>>> {
-        if self.is_closed() {
-            return Err(PushError::Closed(frame));
-        }
         self.write.push(frame)
     }
 
@@ -928,6 +781,21 @@ mod tests {
         let mut corrupt = empty.encode();
         corrupt[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Frame::read_from(&mut &corrupt[..]).is_err());
+        // A legal prefix the stream does not honour — 200 MB claimed, a dozen bytes
+        // sent — is an error, and the reader never asks for more room than one step.
+        struct Widest<'a>(&'a [u8], usize);
+        impl Read for Widest<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1 = self.1.max(buf.len());
+                self.0.read(buf)
+            }
+        }
+        let mut truncated = frame.encode();
+        truncated[0..4].copy_from_slice(&(200u32 << 20).to_le_bytes());
+        let mut stream = Widest(&truncated, 0);
+        let error = Frame::read_from(&mut stream).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(stream.1 <= READ_STEP_BYTES, "asked for {} bytes", stream.1);
         // The node-span codec round-trips its three durations exactly.
         let span = NodeSpan {
             queue_wait_us: 12.5,
@@ -1030,5 +898,96 @@ mod tests {
         drop(link2);
         drop(link);
         node.join().unwrap().unwrap();
+    }
+
+    /// A thread-hosted node on a fresh socket, and a raw stream to it once it is up.
+    fn raw_node() -> (PathBuf, JoinHandle<io::Result<()>>, UnixStream) {
+        let path = test_socket();
+        let node = {
+            let path = path.clone();
+            std::thread::spawn(move || run_shard_node(&path))
+        };
+        let started = std::time::Instant::now();
+        loop {
+            match UnixStream::connect(&path) {
+                Ok(stream) => return (path, node, stream),
+                Err(error) => {
+                    assert!(
+                        started.elapsed() < Duration::from_secs(10),
+                        "node never came up: {error}"
+                    );
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+        }
+    }
+
+    fn stop_node(path: &Path, node: JoinHandle<io::Result<()>>) {
+        let mut stream = UnixStream::connect(path).unwrap();
+        stream.write_all(&encode_shutdown(0)).unwrap();
+        node.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_ragged_fetch_is_answered_with_an_error_frame() {
+        let (path, node, mut stream) = raw_node();
+        let rows: Vec<Vec<i8>> = vec![vec![1, 2], vec![3, 4]];
+        let arena =
+            imars_recsys::arena::RowArena::from_rows(rows.iter().map(|r| r.as_slice()), 2).unwrap();
+        stream.write_all(&encode_load(0, &arena, &[0, 1])).unwrap();
+        // Trace flag, one whole row id, then two stray bytes.
+        let ragged = Frame {
+            kind: KIND_FETCH,
+            shard: 0,
+            tag: 41,
+            payload: vec![0, 1, 0, 0, 0, 9, 9],
+        };
+        stream.write_all(&ragged.encode()).unwrap();
+        let reply = Frame::read_from(&mut stream).unwrap();
+        assert_eq!((reply.kind, reply.tag), (KIND_ERROR, 41));
+        // The refusal is per frame: a well-formed fetch on the same connection serves.
+        stream.write_all(&encode_fetch(0, 42, &[1], false)).unwrap();
+        let reply = Frame::read_from(&mut stream).unwrap();
+        assert_eq!((reply.kind, reply.tag), (KIND_ROWS, 42));
+        assert_eq!(reply.payload, [3, 4]);
+        drop(stream);
+        stop_node(&path, node);
+    }
+
+    #[test]
+    fn a_control_frame_that_does_not_decode_drops_the_link() {
+        let (path, node, mut stream) = raw_node();
+        let chaos = |payload: Vec<u8>| {
+            Frame {
+                kind: KIND_CHAOS,
+                shard: 0,
+                tag: 0,
+                payload,
+            }
+            .encode()
+        };
+        // Fault code 9 names no fault: the node hangs up rather than arm nothing.
+        let mut unknown = vec![9u8];
+        unknown.extend_from_slice(&[0; 16]);
+        stream.write_all(&chaos(unknown)).unwrap();
+        assert_eq!(
+            Frame::read_from(&mut stream).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof,
+            "the node closed the connection"
+        );
+        // So does a known code in a payload of the wrong length.
+        let mut stream = UnixStream::connect(&path).unwrap();
+        stream.write_all(&chaos(vec![2, 0, 0])).unwrap();
+        assert!(Frame::read_from(&mut stream).is_err());
+        // A well-formed one is accepted silently: the connection stays usable.
+        let mut stream = UnixStream::connect(&path).unwrap();
+        stream
+            .write_all(&encode_chaos(0, FaultKind::DropFrames { frames: 1 }, 7))
+            .unwrap();
+        stream.write_all(&encode_fetch(0, 5, &[], false)).unwrap();
+        let reply = Frame::read_from(&mut stream).unwrap();
+        assert_eq!((reply.kind, reply.tag), (KIND_ROWS, 5));
+        drop(stream);
+        stop_node(&path, node);
     }
 }
