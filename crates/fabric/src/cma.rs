@@ -15,8 +15,6 @@
 //! Every operation returns an [`Outcome`] carrying both the functional result and the
 //! energy/latency charged from the array-level figures of merit.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use imars_device::characterization::ArrayFom;
@@ -237,12 +235,10 @@ pub fn hamming_distance(a: &[u64], b: &[u64]) -> u32 {
         .sum()
 }
 
-/// One stored row: the packed bits plus how many of them are valid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct StoredRow {
-    bits: Vec<u64>,
-    valid_bits: usize,
-}
+/// Marker in [`CmaArray::valid_bits`] for a row inside the grown extent that was never
+/// written. No real count can collide with it: `valid_bits <= cols`, and a row of
+/// `usize::MAX` columns could not be allocated.
+const UNWRITTEN: usize = usize::MAX;
 
 /// A single configurable memory array.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -250,19 +246,57 @@ pub struct CmaArray {
     rows: usize,
     cols: usize,
     fom: ArrayFom,
-    /// Sparse row storage: only rows that have been written occupy memory.
-    data: BTreeMap<usize, StoredRow>,
+    /// The cells, as one row-major bit matrix: row `r` is the `words_for_bits(cols)`
+    /// words starting at `r * words_for_bits(cols)`, zero beyond what was written to it.
+    ///
+    /// Empty until the first write, then grown to end at the highest row ever written —
+    /// so the extent is a function of the set of written rows, not of the write order,
+    /// and a dense fill grows by amortized doubling. The cost of the flat layout is the
+    /// sparse case: one write to row `r` of an otherwise empty array holds `r + 1` rows
+    /// (8 KB for the last row of a 256×256 array).
+    words: Vec<u64>,
+    /// Per row of the grown extent, how many leading bits are valid, or [`UNWRITTEN`].
+    valid_bits: Vec<usize>,
+    /// Number of written rows (the entries of `valid_bits` that are not [`UNWRITTEN`]).
+    occupied: usize,
 }
 
 impl CmaArray {
-    /// Create an empty array with the given geometry and figures of merit.
+    /// Create an empty array with the given geometry and figures of merit. Allocates
+    /// nothing; storage appears with the first write.
     pub fn new(rows: usize, cols: usize, fom: ArrayFom) -> Self {
         Self {
             rows,
             cols,
             fom,
-            data: BTreeMap::new(),
+            words: Vec::new(),
+            valid_bits: Vec::new(),
+            occupied: 0,
         }
+    }
+
+    /// The one reader of the row format: the full-width words of a written row and its
+    /// valid-bit count, or `None` for a row that was never written.
+    #[inline]
+    fn row_view(&self, row: usize) -> Option<(&[u64], usize)> {
+        match self.valid_bits.get(row) {
+            Some(&valid_bits) if valid_bits != UNWRITTEN => {
+                let stride = words_for_bits(self.cols);
+                Some((&self.words[row * stride..][..stride], valid_bits))
+            }
+            _ => None,
+        }
+    }
+
+    /// Hamming distance of every written row to `query`, in ascending row order, taken
+    /// over the whole words that hold the row's valid bits (or over the query's words,
+    /// when it is shorter).
+    fn row_distances<'a>(&'a self, query: &'a [u64]) -> impl Iterator<Item = (usize, u32)> + 'a {
+        (0..self.valid_bits.len()).filter_map(move |row| {
+            let (words, valid_bits) = self.row_view(row)?;
+            let prefix = words_for_bits(valid_bits).min(query.len());
+            Some((row, hamming_distance(&query[..prefix], &words[..prefix])))
+        })
     }
 
     /// Number of rows.
@@ -277,7 +311,7 @@ impl CmaArray {
 
     /// Number of rows that currently hold data.
     pub fn occupied_rows(&self) -> usize {
-        self.data.len()
+        self.occupied
     }
 
     /// The figures of merit this array charges its operations with.
@@ -295,12 +329,15 @@ impl CmaArray {
         Ok(())
     }
 
-    /// RAM-mode write of raw bits into a row.
+    /// RAM-mode write of raw bits into a row. Fewer words than the row holds are
+    /// zero-extended to the row's width; every supplied word is stored, also past
+    /// `valid_bits`.
     ///
     /// # Errors
     ///
     /// Returns [`FabricError::RowOutOfRange`] if `row` is outside the array and
-    /// [`FabricError::DimensionMismatch`] if more bits are supplied than the row holds.
+    /// [`FabricError::DimensionMismatch`] if `valid_bits` exceeds the columns, if fewer
+    /// words are supplied than `valid_bits` needs, or more than the row holds.
     pub fn write_row_bits(
         &mut self,
         row: usize,
@@ -322,13 +359,25 @@ impl CmaArray {
                 what: "bit words",
             });
         }
-        self.data.insert(
-            row,
-            StoredRow {
-                bits: bits.to_vec(),
-                valid_bits,
-            },
-        );
+        let stride = words_for_bits(self.cols);
+        if bits.len() > stride {
+            return Err(FabricError::DimensionMismatch {
+                expected: stride,
+                actual: bits.len(),
+                what: "bit words",
+            });
+        }
+        if row >= self.valid_bits.len() {
+            self.valid_bits.resize(row + 1, UNWRITTEN);
+            self.words.resize((row + 1) * stride, 0);
+        }
+        let cells = &mut self.words[row * stride..][..stride];
+        cells[..bits.len()].copy_from_slice(bits);
+        cells[bits.len()..].fill(0);
+        if self.valid_bits[row] == UNWRITTEN {
+            self.occupied += 1;
+        }
+        self.valid_bits[row] = valid_bits;
         Ok(Outcome::single(
             (),
             CostComponent::CmaWrite,
@@ -359,18 +408,18 @@ impl CmaArray {
         self.write_row_bits(row, &packed, bits_needed)
     }
 
-    /// RAM-mode read of the raw bits of a row. Unwritten rows read as all zeros.
+    /// RAM-mode read of the raw bits of a row: always `words_for_bits(cols)` words.
+    /// Unwritten rows read as all zeros.
     ///
     /// # Errors
     ///
     /// Returns [`FabricError::RowOutOfRange`] if the row is outside the array.
     pub fn read_row_bits(&self, row: usize) -> Result<Outcome<Vec<u64>>, FabricError> {
         self.check_row(row)?;
-        let bits = self
-            .data
-            .get(&row)
-            .map(|r| r.bits.clone())
-            .unwrap_or_else(|| vec![0u64; words_for_bits(self.cols)]);
+        let bits = match self.row_view(row) {
+            Some((words, _)) => words.to_vec(),
+            None => vec![0u64; words_for_bits(self.cols)],
+        };
         Ok(Outcome::single(
             bits,
             CostComponent::CmaRead,
@@ -416,8 +465,8 @@ impl CmaArray {
         // a time, since no carry crosses a lane). Unwritten rows contribute zero.
         let mut acc = vec![0u64; words_for_bits(dim * 8)];
         for &row in rows {
-            if let Some(stored) = self.data.get(&row) {
-                saturating_accumulate_packed(&mut acc, &stored.bits);
+            if let Some((words, _)) = self.row_view(row) {
+                saturating_accumulate_packed(&mut acc, words);
             }
         }
         let mut sum = vec![0i8; dim];
@@ -449,8 +498,8 @@ impl CmaArray {
         let mut scratch = vec![0i8; dim];
         for &row in rows {
             // Unwritten rows contribute zero, as in pool_rows.
-            if let Some(stored) = self.data.get(&row) {
-                unpack_embedding_into(&stored.bits, &mut scratch);
+            if let Some((words, _)) = self.row_view(row) {
+                unpack_embedding_into(words, &mut scratch);
                 accumulator.accumulate(&mut acc, &scratch);
             }
         }
@@ -508,15 +557,9 @@ impl CmaArray {
     /// The functional core of a TCAM search: indices of all valid rows within `threshold`
     /// Hamming distance of `query`. Query width must already be validated.
     fn matches_within(&self, query: &[u64], threshold: u32) -> Vec<usize> {
-        self.data
-            .iter()
-            .filter(|(_, stored)| {
-                let words = words_for_bits(stored.valid_bits);
-                let q = &query[..words.min(query.len())];
-                let s = &stored.bits[..words.min(stored.bits.len())];
-                hamming_distance(q, s) <= threshold
-            })
-            .map(|(&row, _)| row)
+        self.row_distances(query)
+            .filter(|&(_, distance)| distance <= threshold)
+            .map(|(row, _)| row)
             .collect()
     }
 
@@ -578,15 +621,7 @@ impl CmaArray {
     /// Hamming distances of every valid row to the query (software reference used by the
     /// accuracy experiments and by tests to cross-check the TCAM threshold semantics).
     pub fn distances(&self, query: &[u64]) -> Vec<(usize, u32)> {
-        self.data
-            .iter()
-            .map(|(&row, stored)| {
-                let words = words_for_bits(stored.valid_bits);
-                let q = &query[..words.min(query.len())];
-                let s = &stored.bits[..words.min(stored.bits.len())];
-                (row, hamming_distance(q, s))
-            })
-            .collect()
+        self.row_distances(query).collect()
     }
 }
 
@@ -1014,5 +1049,224 @@ mod tests {
         let cma = array();
         let query = vec![0u64; 10];
         assert!(cma.search(&query, 0).is_err());
+    }
+
+    #[test]
+    fn a_row_wider_than_the_array_is_rejected() {
+        let mut cma = array();
+        assert!(matches!(
+            cma.write_row_bits(0, &[u64::MAX; 10], 256),
+            Err(FabricError::DimensionMismatch {
+                expected: 4,
+                actual: 10,
+                what: "bit words",
+            })
+        ));
+        assert_eq!(cma.occupied_rows(), 0, "a rejected write stores nothing");
+        assert!(cma.write_row_bits(0, &[u64::MAX; 4], 256).is_ok());
+    }
+
+    #[test]
+    fn every_row_reads_back_at_the_array_width() {
+        let mut cma = array();
+        assert_eq!(cma.read_row_bits(3).unwrap().value, vec![0u64; 4]);
+        cma.write_row_bits(3, &[u64::MAX; 4], 256).unwrap();
+        // A shorter overwrite is zero-extended: nothing of the old row shows through.
+        cma.write_row_bits(3, &[7], 64).unwrap();
+        assert_eq!(cma.read_row_bits(3).unwrap().value, vec![7, 0, 0, 0]);
+        // Words past `valid_bits` are stored, as RAM mode would.
+        cma.write_row_bits(4, &[1, 2, 3], 64).unwrap();
+        assert_eq!(cma.read_row_bits(4).unwrap().value, vec![1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn a_zero_column_array_works_in_every_mode() {
+        let mut cma = CmaArray::new(4, 0, ArrayFom::paper_reference());
+        assert!(cma.write_row_bits(0, &[1], 0).is_err());
+        assert!(cma.write_row_bits(2, &[], 1).is_err());
+        cma.write_row_bits(2, &[], 0).unwrap();
+        assert_eq!(cma.occupied_rows(), 1);
+        assert!(cma.read_row_bits(2).unwrap().value.is_empty());
+        assert!(cma.read_row_bits(0).unwrap().value.is_empty());
+        // Nothing to compare, so the one written row is at distance zero.
+        assert_eq!(cma.search(&[], 0).unwrap().value, vec![2]);
+        assert_eq!(
+            cma.search_batch(&[vec![], vec![]], 0).unwrap().value,
+            vec![vec![2], vec![2]]
+        );
+        assert_eq!(cma.distances(&[5]), vec![(2, 0)]);
+        assert!(cma.search(&[0], 0).is_err());
+        assert!(cma.pool_rows(&[2, 0], 0).unwrap().value.is_empty());
+        assert!(cma
+            .pool_rows_with(&[2], 0, GpcimAccumulator::INT16)
+            .unwrap()
+            .value
+            .is_empty());
+    }
+
+    #[test]
+    fn no_heap_until_written_and_growth_stops_at_the_highest_row() {
+        let mut cma = array();
+        assert_eq!((cma.words.capacity(), cma.valid_bits.capacity()), (0, 0));
+        // An empty array still searches, at the full charge: one empty list per query.
+        let queries = vec![vec![0u64; 4], vec![1], vec![]];
+        let empty = cma.search_batch(&queries, 256).unwrap();
+        assert_eq!(empty.value, vec![Vec::<usize>::new(); 3]);
+        assert_eq!(empty.cost, Cost::from_fom(cma.fom().cma.search).repeat(3));
+        assert_eq!((cma.words.capacity(), cma.valid_bits.capacity()), (0, 0));
+
+        cma.write_row_bits(9, &[1, 2, 3, 4], 256).unwrap();
+        assert_eq!((cma.words.len(), cma.valid_bits.len()), (10 * 4, 10));
+        assert_eq!(cma.occupied_rows(), 1);
+        cma.write_row_bits(9, &[5, 6, 7, 8], 200).unwrap();
+        cma.write_row_bits(2, &[9], 8).unwrap();
+        assert_eq!((cma.words.len(), cma.valid_bits.len()), (10 * 4, 10));
+        assert_eq!(cma.occupied_rows(), 2);
+    }
+
+    /// The representation this array had before it became a flat bit matrix — a tree of
+    /// heap rows, each kept at its written length — with every mode spelled out over
+    /// it. The reference the flat store is driven against.
+    struct TreeOfRows {
+        cols: usize,
+        rows: std::collections::BTreeMap<usize, (Vec<u64>, usize)>,
+    }
+
+    impl TreeOfRows {
+        fn distances(&self, query: &[u64]) -> Vec<(usize, u32)> {
+            self.rows
+                .iter()
+                .map(|(&row, (bits, valid_bits))| {
+                    let words = words_for_bits(*valid_bits);
+                    let q = &query[..words.min(query.len())];
+                    let s = &bits[..words.min(bits.len())];
+                    (row, hamming_distance(q, s))
+                })
+                .collect()
+        }
+
+        fn search(&self, query: &[u64], threshold: u32) -> Vec<usize> {
+            self.distances(query)
+                .into_iter()
+                .filter(|&(_, distance)| distance <= threshold)
+                .map(|(row, _)| row)
+                .collect()
+        }
+
+        fn read_row_bits(&self, row: usize) -> Vec<u64> {
+            let mut bits = self
+                .rows
+                .get(&row)
+                .map_or(Vec::new(), |(bits, _)| bits.clone());
+            bits.resize(words_for_bits(self.cols), 0);
+            bits
+        }
+
+        /// Unpacked, one element at a time: independent of the packed SWAR/SIMD kernel.
+        fn pool_rows(&self, rows: &[usize], dim: usize) -> Vec<i8> {
+            let mut sum = vec![0i8; dim];
+            for (bits, _) in rows.iter().filter_map(|row| self.rows.get(row)) {
+                for (acc, value) in sum.iter_mut().zip(unpack_embedding(bits, dim)) {
+                    *acc = acc.saturating_add(value);
+                }
+            }
+            sum
+        }
+
+        fn pool_rows_with(&self, rows: &[usize], dim: usize, acc: GpcimAccumulator) -> Vec<i32> {
+            let mut sum = vec![0i32; dim];
+            for (bits, _) in rows.iter().filter_map(|row| self.rows.get(row)) {
+                acc.accumulate(&mut sum, &unpack_embedding(bits, dim));
+            }
+            sum
+        }
+    }
+
+    #[test]
+    fn the_flat_store_matches_the_tree_of_rows_it_replaced() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const ROWS: usize = 48;
+        for (case, cols) in [64usize, 100, 256, 320].into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(0xCA3 + case as u64);
+            let stride = words_for_bits(cols);
+            let mut cma = CmaArray::new(ROWS, cols, ArrayFom::paper_reference());
+            let mut tree = TreeOfRows {
+                cols,
+                rows: Default::default(),
+            };
+            // Fewer writes than rows, drawn with replacement: holes and overwrites both.
+            for write in 0..40 {
+                let row = rng.gen_range(0..ROWS);
+                let valid_bits = match write % 8 {
+                    0 => 0,
+                    1 => cols,
+                    _ => rng.gen_range(0..=cols),
+                };
+                let len = rng.gen_range(words_for_bits(valid_bits)..=stride);
+                let bits: Vec<u64> = (0..len).map(|_| rng.gen_range(0..=u64::MAX)).collect();
+                cma.write_row_bits(row, &bits, valid_bits).unwrap();
+                tree.rows.insert(row, (bits, valid_bits));
+                assert_eq!(cma.occupied_rows(), tree.rows.len(), "cols {cols}");
+            }
+            assert!(tree.rows.len() < ROWS, "the sequence must leave holes");
+
+            // Queries shorter than a row, and exactly a row.
+            let queries: Vec<Vec<u64>> = (0..12)
+                .map(|q| {
+                    let len = if q % 3 == 0 {
+                        stride
+                    } else {
+                        rng.gen_range(0..=stride)
+                    };
+                    (0..len).map(|_| rng.gen_range(0..=u64::MAX)).collect()
+                })
+                .collect();
+            let threshold = (cols / 2) as u32;
+            let expected: Vec<Vec<usize>> =
+                queries.iter().map(|q| tree.search(q, threshold)).collect();
+            assert!(expected.iter().any(|hits| !hits.is_empty()), "cols {cols}");
+            assert_eq!(
+                cma.search_batch(&queries, threshold).unwrap().value,
+                expected
+            );
+            for (query, hits) in queries.iter().zip(&expected) {
+                assert_eq!(&cma.search(query, threshold).unwrap().value, hits);
+                assert_eq!(cma.distances(query), tree.distances(query), "cols {cols}");
+            }
+            for row in 0..ROWS {
+                assert_eq!(
+                    cma.read_row_bits(row).unwrap().value,
+                    tree.read_row_bits(row)
+                );
+            }
+            for _ in 0..24 {
+                let dim = rng.gen_range(0..=cols / 8);
+                let picked: Vec<usize> = (0..rng.gen_range(1..=6))
+                    .map(|_| rng.gen_range(0..ROWS))
+                    .collect();
+                assert_eq!(
+                    cma.pool_rows(&picked, dim).unwrap().value,
+                    tree.pool_rows(&picked, dim),
+                    "cols {cols} rows {picked:?} dim {dim}"
+                );
+                for acc in [GpcimAccumulator::INT8, GpcimAccumulator::INT16] {
+                    assert_eq!(
+                        cma.pool_rows_with(&picked, dim, acc).unwrap().value,
+                        tree.pool_rows_with(&picked, dim, acc),
+                        "cols {cols} rows {picked:?} dim {dim}"
+                    );
+                }
+            }
+
+            // The extent and the cells are a function of the written set: the final rows,
+            // written once each from the top down, make an equal array.
+            let mut again = CmaArray::new(ROWS, cols, ArrayFom::paper_reference());
+            for (&row, (bits, valid_bits)) in tree.rows.iter().rev() {
+                again.write_row_bits(row, bits, *valid_bits).unwrap();
+            }
+            assert_eq!(again, cma, "cols {cols}");
+        }
     }
 }

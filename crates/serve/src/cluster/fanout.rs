@@ -482,14 +482,18 @@ mod tests {
         let mut cluster = cluster_config(4, 1);
         cluster.placement = Placement::Frequency;
         cluster.hot_replicas = 64;
-        // A tight deadline so a stalled shard expires in test time, not in 2 s.
         cluster.resilience = Some(ResilienceConfig {
             request_timeout_us: 2_000.0,
             hedge_after_us: f64::INFINITY,
             max_retries: 2,
             backoff_us: 100.0,
         });
-        let serve = |chaos: Option<Arc<ChaosPlan>>| {
+        // Deadlines run on a manual clock that only the stall leg ticks: a stalled
+        // shard must be waited out, while a healthy run and a kill (which closes the
+        // shard's queue) need no time to pass — so however long the scheduler keeps a
+        // healthy worker off the CPU, it cannot be taken for a timeout.
+        let serve = |chaos: Option<Arc<ChaosPlan>>, ticking: bool| {
+            let clock = Arc::new(ManualClock::new());
             let (mut engine, handle) = ServeEngine::new_clustered_with(
                 Dlrm::new(DlrmConfig::tiny()).unwrap(),
                 &table,
@@ -498,17 +502,26 @@ mod tests {
                 Some(&histogram),
                 ClusterOptions {
                     chaos,
-                    clock: None,
+                    clock: Some(clock.clone()),
                     node_cache: None,
                 },
             )
             .unwrap();
             engine.enable_metrics(workload.metrics_config(10));
-            let outcome = engine.replay(&workload).unwrap();
+            let outcome = std::thread::scope(|scope| {
+                let replay = scope.spawn(|| engine.replay(&workload));
+                while !replay.is_finished() {
+                    if ticking {
+                        clock.advance_us(250.0);
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                replay.join().unwrap().unwrap()
+            });
             let _ = handle.shutdown(); // a killed worker is reported, not hung on
             outcome.report.metrics.expect("metrics enabled")
         };
-        let healthy = serve(None);
+        let healthy = serve(None, false);
         assert!(
             healthy
                 .fault_events()
@@ -516,7 +529,10 @@ mod tests {
                 .all(|&(_, faults)| faults == 0),
             "healthy run: no fault events in any window"
         );
-        let killed = serve(Some(Arc::new(ChaosPlan::parse("kill:1", 5).unwrap())));
+        let killed = serve(
+            Some(Arc::new(ChaosPlan::parse("kill:1", 5).unwrap())),
+            false,
+        );
         let retries_on_killed: u64 = killed
             .windows
             .iter()
@@ -536,7 +552,10 @@ mod tests {
             killed.fault_events().iter().any(|&(_, faults)| faults > 0),
             "the spike is visible per window"
         );
-        let stalled = serve(Some(Arc::new(ChaosPlan::parse("stall:1", 5).unwrap())));
+        let stalled = serve(
+            Some(Arc::new(ChaosPlan::parse("stall:1", 5).unwrap())),
+            true,
+        );
         let timeouts_on_stalled: u64 = stalled
             .windows
             .iter()
