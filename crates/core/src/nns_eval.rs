@@ -221,19 +221,20 @@ pub fn run_nns_study(config: &NnsEvalConfig, fom: &ArrayFom) -> Result<NnsStudy,
     let tcam = Cost::new(search.energy_pj * array_count as f64, search.latency_ns);
     let mut points = Vec::with_capacity(config.radii.len());
     for &radius in &config.radii {
-        let mut recall_total = 0.0f64;
-        let mut fraction_total = 0.0f64;
-        for (signature, truth) in query_signatures.iter().zip(ground_truth.iter()) {
-            let mut matches: Vec<usize> = Vec::new();
-            for (array_index, array) in arrays.iter().enumerate() {
-                let outcome = array.search(signature, radius)?;
-                matches.extend(
-                    outcome
-                        .value
-                        .into_iter()
+        // One batched search per array: its rows are streamed once against every query.
+        let mut matches: Vec<Vec<usize>> = vec![Vec::new(); query_signatures.len()];
+        for (array_index, array) in arrays.iter().enumerate() {
+            let outcome = array.search_batch(&query_signatures, radius)?;
+            for (items, rows) in matches.iter_mut().zip(outcome.value) {
+                items.extend(
+                    rows.into_iter()
                         .map(|row| array_index * rows_per_array + row),
                 );
             }
+        }
+        let mut recall_total = 0.0f64;
+        let mut fraction_total = 0.0f64;
+        for (matches, truth) in matches.iter().zip(ground_truth.iter()) {
             let hits = truth.iter().filter(|item| matches.contains(item)).count();
             recall_total += hits as f64 / config.k as f64;
             fraction_total += matches.len() as f64 / config.items as f64;

@@ -22,6 +22,7 @@ use imars_device::characterization::ArrayFom;
 use crate::accumulator::GpcimAccumulator;
 use crate::cost::{Cost, CostComponent, Outcome};
 use crate::error::FabricError;
+use crate::simd::{self, BitRows, FlatQueries, UNWRITTEN};
 
 /// Pack a slice of int8 embedding elements into 64-bit words (little-endian bytes).
 pub fn pack_embedding(elements: &[i8]) -> Vec<u64> {
@@ -227,18 +228,15 @@ pub fn words_for_bits(bits: usize) -> usize {
     bits.div_ceil(64)
 }
 
-/// Hamming distance between two equal-length bit vectors stored as 64-bit words.
+/// Hamming distance between two equal-length bit vectors stored as 64-bit words — the
+/// scalar reference of the TCAM scan kernel in [`crate::simd`].
+#[inline]
 pub fn hamming_distance(a: &[u64], b: &[u64]) -> u32 {
     a.iter()
         .zip(b.iter())
         .map(|(x, y)| (x ^ y).count_ones())
         .sum()
 }
-
-/// Marker in [`CmaArray::valid_bits`] for a row inside the grown extent that was never
-/// written. No real count can collide with it: `valid_bits <= cols`, and a row of
-/// `usize::MAX` columns could not be allocated.
-const UNWRITTEN: usize = usize::MAX;
 
 /// A single configurable memory array.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -288,15 +286,15 @@ impl CmaArray {
         }
     }
 
-    /// Hamming distance of every written row to `query`, in ascending row order, taken
-    /// over the whole words that hold the row's valid bits (or over the query's words,
-    /// when it is shorter).
-    fn row_distances<'a>(&'a self, query: &'a [u64]) -> impl Iterator<Item = (usize, u32)> + 'a {
-        (0..self.valid_bits.len()).filter_map(move |row| {
-            let (words, valid_bits) = self.row_view(row)?;
-            let prefix = words_for_bits(valid_bits).min(query.len());
-            Some((row, hamming_distance(&query[..prefix], &words[..prefix])))
-        })
+    /// The cells as the TCAM scan kernel reads them — the only way any search, count or
+    /// distance reaches the words.
+    #[inline]
+    fn bit_rows(&self) -> BitRows<'_> {
+        BitRows {
+            words: &self.words,
+            stride: words_for_bits(self.cols),
+            valid_bits: &self.valid_bits,
+        }
     }
 
     /// Number of rows.
@@ -543,24 +541,28 @@ impl CmaArray {
         outcome
     }
 
-    fn check_query_width(&self, query: &[u64]) -> Result<(), FabricError> {
-        if query.len() > words_for_bits(self.cols) {
+    /// The one owner of the TCAM search contract: every query width is validated before
+    /// any work, and `queries` searches are charged one search figure of merit each,
+    /// composed serially — whether `scan` forms match lists or only counts them.
+    fn searched<T>(
+        &self,
+        query_words: impl IntoIterator<Item = usize>,
+        queries: usize,
+        scan: impl FnOnce() -> T,
+    ) -> Result<Outcome<T>, FabricError> {
+        let stride = words_for_bits(self.cols);
+        if let Some(actual) = query_words.into_iter().find(|&words| words > stride) {
             return Err(FabricError::DimensionMismatch {
-                expected: words_for_bits(self.cols),
-                actual: query.len(),
+                expected: stride,
+                actual,
                 what: "query words",
             });
         }
-        Ok(())
-    }
-
-    /// The functional core of a TCAM search: indices of all valid rows within `threshold`
-    /// Hamming distance of `query`. Query width must already be validated.
-    fn matches_within(&self, query: &[u64], threshold: u32) -> Vec<usize> {
-        self.row_distances(query)
-            .filter(|&(_, distance)| distance <= threshold)
-            .map(|(row, _)| row)
-            .collect()
+        Ok(Outcome::single(
+            scan(),
+            CostComponent::CmaSearch,
+            Cost::from_fom(self.fom.cma.search).repeat(queries),
+        ))
     }
 
     /// TCAM-mode threshold search: return the indices of all valid rows whose Hamming
@@ -578,12 +580,17 @@ impl CmaArray {
         query: &[u64],
         threshold: u32,
     ) -> Result<Outcome<Vec<usize>>, FabricError> {
-        self.check_query_width(query)?;
-        Ok(Outcome::single(
-            self.matches_within(query, threshold),
-            CostComponent::CmaSearch,
-            Cost::from_fom(self.fom.cma.search),
-        ))
+        self.searched([query.len()], 1, || {
+            let queries = FlatQueries {
+                bits: query,
+                words: query.len(),
+                count: 1,
+            };
+            let mut matches = Vec::new();
+            let out = std::slice::from_mut(&mut matches);
+            simd::scan_matches(&self.bit_rows(), &queries, threshold, out);
+            matches
+        })
     }
 
     /// Batched TCAM-mode threshold search: one [`CmaArray::search`] per query, with the
@@ -595,6 +602,10 @@ impl CmaArray {
     /// the interconnect layer's job, not the array's.) The functional result of each query
     /// is identical to a one-at-a-time [`CmaArray::search`].
     ///
+    /// The software twin is query-blocked: the array is streamed once per run of
+    /// equal-width queries (once per batch, when all queries are as wide as each other),
+    /// each tile of rows matched against every query while it is in cache.
+    ///
     /// # Errors
     ///
     /// Returns [`FabricError::DimensionMismatch`] if any query is wider than the row;
@@ -604,24 +615,70 @@ impl CmaArray {
         queries: &[Vec<u64>],
         threshold: u32,
     ) -> Result<Outcome<Vec<Vec<usize>>>, FabricError> {
-        for query in queries {
-            self.check_query_width(query)?;
+        self.searched(queries.iter().map(Vec::len), queries.len(), || {
+            let mut matches = vec![Vec::new(); queries.len()];
+            let mut flat = Vec::new();
+            let mut done = 0;
+            for run in queries.chunk_by(|a, b| a.len() == b.len()) {
+                flat.clear();
+                flat.extend(run.iter().flatten());
+                let run_queries = FlatQueries {
+                    bits: &flat,
+                    words: run[0].len(),
+                    count: run.len(),
+                };
+                let out = &mut matches[done..done + run.len()];
+                simd::scan_matches(&self.bit_rows(), &run_queries, threshold, out);
+                done += run.len();
+            }
+            matches
+        })
+    }
+
+    /// Count-only [`CmaArray::search_batch`] over flat queries: `counts[q]` becomes the
+    /// number of valid rows within `threshold` of the query held in the `query_words`
+    /// words starting at `q * query_words` of `queries` — the length of the list
+    /// `search_batch` would return for it, without forming the list. For a caller that
+    /// keeps both buffers the call allocates nothing.
+    ///
+    /// The charge is [`CmaArray::search_batch`]'s, for the reason given there: one
+    /// serialized search figure of merit per query.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FabricError::DimensionMismatch`] if `query_words` is wider than the row
+    /// or `queries` does not hold exactly `counts.len()` queries of that width;
+    /// validation happens before any search work, and `counts` is left untouched.
+    pub fn count_batch(
+        &self,
+        queries: &[u64],
+        query_words: usize,
+        threshold: u32,
+        counts: &mut [usize],
+    ) -> Result<Outcome<()>, FabricError> {
+        let expected = counts.len().saturating_mul(query_words);
+        if queries.len() != expected {
+            return Err(FabricError::DimensionMismatch {
+                expected,
+                actual: queries.len(),
+                what: "flat query words",
+            });
         }
-        let matches: Vec<Vec<usize>> = queries
-            .iter()
-            .map(|query| self.matches_within(query, threshold))
-            .collect();
-        Ok(Outcome::single(
-            matches,
-            CostComponent::CmaSearch,
-            Cost::from_fom(self.fom.cma.search).repeat(queries.len()),
-        ))
+        self.searched([query_words], counts.len(), || {
+            let queries = FlatQueries {
+                bits: queries,
+                words: query_words,
+                count: counts.len(),
+            };
+            counts.fill(0);
+            simd::scan_counts(&self.bit_rows(), &queries, threshold, counts);
+        })
     }
 
     /// Hamming distances of every valid row to the query (software reference used by the
     /// accuracy experiments and by tests to cross-check the TCAM threshold semantics).
     pub fn distances(&self, query: &[u64]) -> Vec<(usize, u32)> {
-        self.row_distances(query).collect()
+        simd::scan_distances(&self.bit_rows(), query)
     }
 }
 
@@ -1030,6 +1087,104 @@ mod tests {
             cma.search_batch(&bad, 5),
             Err(FabricError::DimensionMismatch { .. })
         ));
+    }
+
+    /// `count_batch` over `queries` flattened at `query_words`: the counts and the outcome.
+    fn count_flat(
+        cma: &CmaArray,
+        queries: &[Vec<u64>],
+        query_words: usize,
+        threshold: u32,
+    ) -> (Vec<usize>, Outcome<()>) {
+        let flat: Vec<u64> = queries.iter().flatten().copied().collect();
+        // Dirty on entry: every slot must be overwritten, not added to.
+        let mut counts = vec![usize::MAX; queries.len()];
+        let outcome = cma
+            .count_batch(&flat, query_words, threshold, &mut counts)
+            .unwrap();
+        (counts, outcome)
+    }
+
+    #[test]
+    fn count_batch_is_search_batch_without_the_lists() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xC0_0175);
+        // Holes, rows valid over fewer words than the stride, rows with no valid bits,
+        // more rows than one scan tile — and an array nothing was ever written to.
+        let mut cma = CmaArray::new(700, 256, ArrayFom::paper_reference());
+        for row in 0..700 {
+            let valid_bits = match row % 7 {
+                // The first scan tile stays dense, so both paths of the kernel run.
+                _ if row < 256 => 256,
+                0 => continue,
+                1 => 0,
+                2 => rng.gen_range(0..=256),
+                _ => 256,
+            };
+            let bits: Vec<u64> = (0..4).map(|_| rng.gen_range(0..=u64::MAX)).collect();
+            cma.write_row_bits(row, &bits, valid_bits).unwrap();
+        }
+        let empty = array();
+        for cma in [&cma, &empty] {
+            // Queries as wide as a row, and shorter, down to zero words.
+            for query_words in 0..=4usize {
+                let queries: Vec<Vec<u64>> = (0..9)
+                    .map(|_| {
+                        (0..query_words)
+                            .map(|_| rng.gen_range(0..=u64::MAX))
+                            .collect()
+                    })
+                    .collect();
+                for threshold in [0, (query_words * 32) as u32, 256] {
+                    let lists = cma.search_batch(&queries, threshold).unwrap();
+                    let (counts, outcome) = count_flat(cma, &queries, query_words, threshold);
+                    let lengths: Vec<usize> = lists.value.iter().map(Vec::len).collect();
+                    assert_eq!(counts, lengths, "query words {query_words}");
+                    assert_eq!(outcome.cost, lists.cost);
+                    assert_eq!(outcome.breakdown, lists.breakdown);
+                }
+            }
+        }
+        assert!(cma.search_batch(&[vec![0; 4]], 128).unwrap().value[0].len() > 100);
+        // No queries: no counts, no charge.
+        let (counts, outcome) = count_flat(&cma, &[], 4, 5);
+        assert!(counts.is_empty());
+        assert_eq!(outcome.cost, Cost::ZERO);
+    }
+
+    #[test]
+    fn count_batch_validates_before_any_work() {
+        let mut cma = array();
+        cma.write_row_bits(0, &[0; 4], 256).unwrap();
+        let mut counts = vec![7usize; 2];
+        // A query wider than the row: rejected like `search_batch` rejects it.
+        assert!(matches!(
+            cma.count_batch(&[0; 10], 5, 0, &mut counts),
+            Err(FabricError::DimensionMismatch {
+                expected: 4,
+                actual: 5,
+                what: "query words",
+            })
+        ));
+        assert!(cma.search_batch(&[vec![0; 4], vec![0; 5]], 0).is_err());
+        // A flat buffer that does not hold `counts.len()` queries of the stated width.
+        assert!(matches!(
+            cma.count_batch(&[0; 7], 4, 0, &mut counts),
+            Err(FabricError::DimensionMismatch {
+                expected: 8,
+                actual: 7,
+                what: "flat query words",
+            })
+        ));
+        assert_eq!(
+            counts,
+            vec![7, 7],
+            "a rejected call leaves the counts alone"
+        );
+        assert!(cma.count_batch(&[0; 8], 4, 0, &mut counts).is_ok());
+        assert_eq!(counts, vec![1, 1]);
     }
 
     #[test]

@@ -452,6 +452,10 @@ pub struct ServeEngine {
     /// arrivals / completions / latencies / faults into fixed event-time windows.
     /// Per-clone state — the threaded runtime merges its workers' scrapers.
     metrics: Option<MetricsScraper>,
+    /// Reused across batches by the filtering stage: the batch's LSH signatures, flat at
+    /// `lsh.signature_words()` words per query, and the TCAM match count of each.
+    signatures: Vec<u64>,
+    match_counts: Vec<usize>,
 }
 
 impl ServeEngine {
@@ -597,6 +601,8 @@ impl ServeEngine {
             telemetry: ServeTelemetry::default(),
             tracer: None,
             metrics: None,
+            signatures: Vec::new(),
+            match_counts: Vec::new(),
         };
         Ok((engine, handle))
     }
@@ -631,8 +637,9 @@ impl ServeEngine {
             config.signature_bits,
             ArrayFom::paper_reference(),
         );
+        let mut signature = vec![0u64; lsh.signature_words()];
         for row in 0..items.rows() {
-            let signature = lsh.signature(items.lookup(row)?)?;
+            lsh.signature_into(items.lookup(row)?, &mut signature)?;
             tcam.write_row_bits(row, &signature, config.signature_bits)?;
         }
         Ok((lsh, tcam))
@@ -882,14 +889,23 @@ impl ServeEngine {
         }
 
         // 2. Candidate filtering: LSH signatures matched in TCAM mode, one serialized
-        //    search per query.
-        let signatures = dense
+        //    search per query. A response reports how many rows matched, not which, so
+        //    the engine asks the array for the counts.
+        let signature_words = self.lsh.signature_words();
+        self.signatures.resize(requests.len() * signature_words, 0);
+        self.match_counts.resize(requests.len(), 0);
+        for (profile, signature) in dense
             .chunks(dense_dim)
-            .map(|profile| self.lsh.signature(profile))
-            .collect::<Result<Vec<_>, _>>()?;
-        let search = self
-            .tcam
-            .search_batch(&signatures, self.config.search_radius)?;
+            .zip(self.signatures.chunks_mut(signature_words))
+        {
+            self.lsh.signature_into(profile, signature)?;
+        }
+        let search = self.tcam.count_batch(
+            &self.signatures,
+            signature_words,
+            self.config.search_radius,
+            &mut self.match_counts,
+        )?;
         let filter_end_us = pool_trace.as_ref().map(|t| t.clock.now_us());
         self.telemetry.cost.merge(&search.breakdown);
         self.telemetry.total_cost += search.cost;
@@ -930,9 +946,9 @@ impl ServeEngine {
         let responses = requests
             .iter()
             .zip(scores)
-            .zip(search.value)
-            .map(|((request, score), matches)| {
-                let candidates = matches.len().min(request.query.candidates);
+            .zip(&self.match_counts)
+            .map(|((request, score), &matches)| {
+                let candidates = matches.min(request.query.candidates);
                 self.telemetry.candidates_sum += candidates as u64;
                 ServeResponse {
                     id: request.id,
@@ -1296,6 +1312,42 @@ mod tests {
         assert!((telemetry.total_cost.energy_pj - expected_total).abs() < 1e-9);
         assert_eq!(telemetry.queries, 8);
         assert_eq!(telemetry.batches, 1);
+    }
+
+    #[test]
+    fn reused_filter_buffers_do_not_change_the_answers() {
+        let workload = ReplayWorkload::generate(&replay_config(64)).unwrap();
+        let mut requests = workload.requests().to_vec();
+        for request in &mut requests {
+            // Uncapped, so `candidates` is the TCAM match count itself.
+            request.query.candidates = NUM_ITEMS;
+        }
+        let answers = |responses: &[ServeResponse]| -> Vec<(u64, u32, usize)> {
+            responses
+                .iter()
+                .map(|r| (r.id, r.score.to_bits(), r.candidates))
+                .collect()
+        };
+        let fresh = |batch: &[ServeRequest]| {
+            answers(
+                &engine(0, ServePrecision::Fp32)
+                    .process_batch(batch)
+                    .unwrap(),
+            )
+        };
+        // One engine: a wide batch, a narrow one over its dirty buffers, the wide one
+        // again. Each must answer as an engine that never served anything would.
+        let mut reused = engine(0, ServePrecision::Fp32);
+        let small = &requests[40..45];
+        let first = answers(&reused.process_batch(&requests).unwrap());
+        let narrow = answers(&reused.process_batch(small).unwrap());
+        let again = answers(&reused.process_batch(&requests).unwrap());
+        assert_eq!(first, fresh(&requests));
+        assert_eq!(narrow, fresh(small));
+        assert_eq!(narrow, first[40..45]);
+        assert_eq!(again, first);
+        let counts: Vec<usize> = first.iter().map(|answer| answer.2).collect();
+        assert!(counts.iter().any(|&count| count != counts[0]), "{counts:?}");
     }
 
     #[test]
