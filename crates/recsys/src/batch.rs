@@ -7,13 +7,23 @@
 //!   buffer plus per-request offsets), the input format of
 //!   [`EmbeddingTable::gather_pool_batch`](crate::embedding::EmbeddingTable::gather_pool_batch);
 //! * [`PoolingMode`] — sum versus mean pooling;
-//! * [`par_chunks`] / [`par_elements`] — scoped-thread helpers that fan a batch out
-//!   across CPU cores. (The usual crate for this is rayon; the build environment is
-//!   offline, so these are a dependency-free substitute with the same splitting shape:
-//!   contiguous runs per worker, deterministic output placement.)
+//! * [`par_chunks`] / [`par_runs`] / [`par_elements`] — scoped-thread helpers that fan
+//!   a batch out across CPU cores in contiguous runs, one per worker, writing into
+//!   caller-provided output slices;
+//! * [`par_map`] — the same fan-out for a handful of unequal jobs, which workers claim
+//!   one at a time.
 //!
-//! All helpers write into caller-provided output slices so the hot path performs no
-//! per-request allocation.
+//! (The usual crate for these is rayon; the build environment is offline, so they are a
+//! dependency-free substitute with deterministic output placement: every result lands
+//! where the serial loop puts it.)
+//!
+//! Each call spawns its threads and joins them before returning, so the helpers serve
+//! the offline studies and one-time construction (a model's parameter blocks, a
+//! catalogue's signatures), never the serve path: a serving worker already owns its
+//! core, and a spawn per batch would only oversubscribe the machine. The serve runtime's
+//! workers are the serve path's only parallelism.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -120,18 +130,74 @@ impl PoolingBatch {
     }
 }
 
+/// The machine's core count, queried once and cached: `available_parallelism` performs
+/// a system call (≈10 µs on some virtualized hosts), which would dominate a sub-100 µs
+/// batch dispatch if paid per call.
+fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Number of worker threads to use for `tasks` independent tasks: one per core, never
 /// more than the task count, and serial when the batch is too small to amortize a spawn.
-///
-/// The core count is queried once and cached: `available_parallelism` performs a system
-/// call (≈10 µs on some virtualized hosts), which would dominate a sub-100 µs batch
-/// dispatch if paid per call.
 #[inline]
 pub fn worker_count(tasks: usize) -> usize {
     const MIN_TASKS_PER_WORKER: usize = 8;
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    cores.min(tasks / MIN_TASKS_PER_WORKER).max(1)
+    cores().min(tasks / MIN_TASKS_PER_WORKER).max(1)
+}
+
+/// `(0..jobs).map(job).collect()`, computed on every core. Workers claim the next
+/// unclaimed index from one shared counter, so a few large jobs cannot leave one core
+/// with most of the work the way fixed contiguous runs would; put the largest job first.
+/// The calling thread runs job 0 itself, at once, and then claims like the others: the
+/// largest job does not wait for a spawn, and it is always built on the same thread, so
+/// where its memory comes from — and what set-up time and peak memory it costs — does
+/// not change from call to call. Each result is stored at its own index, so the output
+/// is the serial map's whatever the schedule: only the wall time changes, and on one
+/// core it is the serial loop. A panicking job panics the caller.
+pub fn par_map<T, F>(jobs: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = cores().min(jobs);
+    if workers <= 1 {
+        return (0..jobs).map(job).collect();
+    }
+    let next = AtomicUsize::new(1);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= jobs {
+                return done;
+            }
+            done.push((index, job(index)));
+        }
+    };
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let mut place = |done: Vec<(usize, T)>| {
+            for (index, value) in done {
+                slots[index] = Some(value);
+            }
+        };
+        let mut mine = vec![(0, job(0))];
+        mine.extend(claim());
+        place(mine);
+        for helper in helpers {
+            place(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index below `jobs` is claimed exactly once"))
+        .collect()
 }
 
 /// Split `out` into contiguous per-request chunks of `chunk_len` elements and process the
@@ -257,6 +323,22 @@ mod tests {
         let mut out = vec![0usize; 1000];
         par_elements(&mut out, |i, slot| *slot = i * 3);
         assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
+    }
+
+    #[test]
+    fn par_map_matches_the_serial_map() {
+        // Unequal jobs, so the claiming order differs from the index order.
+        let job = |i: usize| (0..(i % 7) * 5_000).fold(i as u64, |acc, k| acc ^ (k as u64));
+        for jobs in [0, 1, 2, 3, 28, 100] {
+            let serial: Vec<u64> = (0..jobs).map(job).collect();
+            assert_eq!(par_map(jobs, job), serial, "jobs {jobs}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 failed")]
+    fn par_map_propagates_a_panicking_job() {
+        par_map(16, |i| assert!(i != 5, "job {i} failed"));
     }
 
     #[test]

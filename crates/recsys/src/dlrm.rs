@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::batch::par_runs;
+use crate::batch::par_map;
 use crate::embedding::EmbeddingTable;
 use crate::error::RecsysError;
 use crate::mlp::{Activation, Mlp, MlpBatchScratch};
@@ -152,21 +152,45 @@ pub struct Dlrm {
 /// (dense first), and the pairwise interactions.
 type ForwardFeatures = (Vec<f32>, Vec<Vec<f32>>, Vec<f32>);
 
-/// Number of samples each worker processes per batched-GEMM block: large enough to
-/// amortize the weight-row streaming of the two MLPs across samples, small enough that
-/// one block's activations stay cache-resident.
-const MLP_BLOCK: usize = 8;
+/// Most samples one batched-GEMM block scores. Both MLPs stream their weights from
+/// memory once per block, so a serving batch (at most 64 requests) reads them once; one
+/// block's ping-pong activations, 64 samples × the widest layer (256 KB per buffer at a
+/// 1024-wide layer), fit in a core's L2.
+const MLP_BLOCK: usize = 64;
 
-/// Per-worker buffers for allocation-free batched DLRM inference: block-sized MLP
-/// scratch plus staging buffers for one block of bottom inputs, dense embeddings and
-/// top inputs.
+/// Reusable buffers for allocation-free batched inference with
+/// [`Dlrm::predict_batch_into`]: batched-MLP scratch for both MLPs plus staging for one
+/// block of bottom and top inputs. [`Dlrm::scratch`] builds it empty; every call grows it
+/// (never shrinks it) to what that call's model and batch need, so a scratch serves any
+/// model and its buffers stay as small as the largest block it has scored.
 #[derive(Debug, Clone)]
-struct DlrmScratch {
+pub struct DlrmScratch {
     bottom: MlpBatchScratch,
     top: MlpBatchScratch,
     bottom_input: Vec<f32>,
-    dense_embeddings: Vec<f32>,
     top_input: Vec<f32>,
+}
+
+impl DlrmScratch {
+    /// Grow until this scratch scores blocks of `block` samples of `model`.
+    fn fit(&mut self, model: &Dlrm, block: usize) {
+        self.bottom.grow_for(&model.bottom_mlp, block);
+        self.top.grow_for(&model.top_mlp, block);
+        let bottom_len = block * model.config.num_dense_features;
+        if self.bottom_input.len() < bottom_len {
+            self.bottom_input.resize(bottom_len, 0.0);
+        }
+        let top_len = block * model.config.top_input_width();
+        if self.top_input.len() < top_len {
+            self.top_input.resize(top_len, 0.0);
+        }
+    }
+}
+
+/// One independently seeded parameter block of a model under construction.
+enum Block {
+    Mlp(Mlp),
+    Table(EmbeddingTable),
 }
 
 impl Dlrm {
@@ -182,29 +206,42 @@ impl Dlrm {
         bottom_sizes.extend_from_slice(&config.bottom_hidden);
         let mut top_sizes = vec![config.top_input_width()];
         top_sizes.extend_from_slice(&config.top_hidden);
-        let embedding_tables = config
-            .sparse_cardinalities
-            .iter()
-            .enumerate()
-            .map(|(index, &cardinality)| {
-                EmbeddingTable::new(
-                    cardinality,
-                    config.embedding_dim,
-                    config.seed.wrapping_add(index as u64),
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            bottom_mlp: Mlp::new(
-                &bottom_sizes,
-                Activation::Linear,
-                config.seed.wrapping_add(1000),
-            )?,
-            top_mlp: Mlp::new(
+        // Every block draws from its own seed, so the blocks are built on all cores and
+        // each is the one a serial build draws. The top MLP, the largest block, is job 0:
+        // the calling thread draws it while the other cores take the rest.
+        let blocks = par_map(config.sparse_cardinalities.len() + 2, |job| match job {
+            0 => Mlp::new(
                 &top_sizes,
                 Activation::Sigmoid,
                 config.seed.wrapping_add(2000),
-            )?,
+            )
+            .map(Block::Mlp),
+            1 => Mlp::new(
+                &bottom_sizes,
+                Activation::Linear,
+                config.seed.wrapping_add(1000),
+            )
+            .map(Block::Mlp),
+            table => EmbeddingTable::new(
+                config.sparse_cardinalities[table - 2],
+                config.embedding_dim,
+                config.seed.wrapping_add(table as u64 - 2),
+            )
+            .map(Block::Table),
+        });
+        let mut mlps = Vec::with_capacity(2);
+        let mut embedding_tables = Vec::with_capacity(blocks.len() - 2);
+        for block in blocks {
+            match block? {
+                Block::Mlp(mlp) => mlps.push(mlp),
+                Block::Table(table) => embedding_tables.push(table),
+            }
+        }
+        let [top_mlp, bottom_mlp] =
+            <[Mlp; 2]>::try_from(mlps).expect("jobs 0 and 1 build the MLPs");
+        Ok(Self {
+            bottom_mlp,
+            top_mlp,
             embedding_tables,
             config,
         })
@@ -285,14 +322,13 @@ impl Dlrm {
         Ok(self.top_mlp.forward(&top_input)?[0])
     }
 
-    /// Build per-worker scratch buffers for batched inference.
-    fn inference_scratch(&self) -> DlrmScratch {
+    /// An empty scratch for [`Dlrm::predict_batch_into`]; it allocates on first use.
+    pub fn scratch(&self) -> DlrmScratch {
         DlrmScratch {
-            bottom: self.bottom_mlp.batch_scratch(MLP_BLOCK),
-            top: self.top_mlp.batch_scratch(MLP_BLOCK),
-            bottom_input: vec![0.0; MLP_BLOCK * self.config.num_dense_features],
-            dense_embeddings: vec![0.0; MLP_BLOCK * self.config.embedding_dim],
-            top_input: vec![0.0; MLP_BLOCK * self.config.top_input_width()],
+            bottom: MlpBatchScratch::empty(),
+            top: MlpBatchScratch::empty(),
+            bottom_input: Vec::new(),
+            top_input: Vec::new(),
         }
     }
 
@@ -312,11 +348,11 @@ impl Dlrm {
         }
     }
 
-    /// Score one block of pre-validated samples using only the scratch buffers (no
-    /// allocation, no error path): both MLPs run as a batched GEMM over the block's
-    /// sample dimension, so every weight row is streamed once per block instead of once
-    /// per sample. Arithmetic is identical per sample to [`Dlrm::predict`], so results
-    /// match bit-for-bit.
+    /// Score one block of pre-validated samples, at most the size `scratch` was fitted
+    /// to, using only the scratch buffers (no allocation, no error path): both MLPs run
+    /// as a batched GEMM over the block's sample dimension, so every weight is streamed
+    /// once per block instead of once per sample. Arithmetic is identical per sample to
+    /// [`Dlrm::predict`], so results match bit-for-bit.
     fn predict_block(&self, samples: &[DlrmSample], scratch: &mut DlrmScratch, out: &mut [f32]) {
         let count = samples.len();
         let dim = self.config.embedding_dim;
@@ -332,11 +368,10 @@ impl Dlrm {
                 &scratch.bottom_input[..count * dense_width],
                 &mut scratch.bottom,
             )
-            .expect("samples validated before batch dispatch");
-        scratch.dense_embeddings[..count * dim].copy_from_slice(dense);
+            .expect("samples validated and scratch fitted before scoring");
         let vectors = self.embedding_tables.len() + 1;
         for (s, sample) in samples.iter().enumerate() {
-            let dense_embedding = &scratch.dense_embeddings[s * dim..(s + 1) * dim];
+            let dense_embedding = &dense[s * dim..(s + 1) * dim];
             let top_row = &mut scratch.top_input[s * top_width..(s + 1) * top_width];
             top_row[..dim].copy_from_slice(dense_embedding);
             let mut offset = dim;
@@ -353,44 +388,56 @@ impl Dlrm {
             .top_mlp
             .forward_batch_into(&scratch.top_input[..count * top_width], &mut scratch.top)
             .expect("top input width is fixed by the config");
-        for (slot, score) in out.iter_mut().zip(scores.iter()) {
-            *slot = *score;
-        }
+        out.copy_from_slice(scores);
     }
 
-    /// Batched forward pass: the predicted click-through rate for every sample, with zero
-    /// per-lookup allocation (embedding rows are gathered as slices, activations live in
-    /// per-worker scratch buffers), the samples fanned out across CPU cores and both MLPs
-    /// evaluated as blocked GEMMs over the sample dimension so weight-row traffic is
-    /// amortized across each block.
+    /// Batched forward pass into `out`, one predicted click-through rate per sample, on
+    /// the calling thread and without allocating once `scratch` has grown to the batch:
+    /// embedding rows are read in place, and both MLPs run as GEMMs over blocks of up to
+    /// 64 samples that stream each weight once per block.
     ///
     /// Per sample the result is bit-identical to [`Dlrm::predict`].
     ///
     /// # Errors
     ///
-    /// Returns an error if any sample's shape is wrong or any categorical index is out of
-    /// range; validation happens before any inference work.
-    pub fn predict_batch(&self, samples: &[DlrmSample]) -> Result<Vec<f32>, RecsysError> {
+    /// Returns [`RecsysError::ShapeMismatch`] if `out` does not hold one score per
+    /// sample, and an error if any sample's shape is wrong or any categorical index is
+    /// out of range. Everything is validated before any inference work; `out` is
+    /// untouched on error.
+    pub fn predict_batch_into(
+        &self,
+        samples: &[DlrmSample],
+        scratch: &mut DlrmScratch,
+        out: &mut [f32],
+    ) -> Result<(), RecsysError> {
+        if out.len() != samples.len() {
+            return Err(RecsysError::ShapeMismatch {
+                what: "dlrm scores",
+                expected: samples.len(),
+                actual: out.len(),
+            });
+        }
         for sample in samples {
             self.validate_sample(sample)?;
             for (table, index) in self.embedding_tables.iter().zip(sample.sparse.iter()) {
                 table.check_indices(std::slice::from_ref(index))?;
             }
         }
+        scratch.fit(self, samples.len().min(MLP_BLOCK));
+        for (block, out) in samples.chunks(MLP_BLOCK).zip(out.chunks_mut(MLP_BLOCK)) {
+            self.predict_block(block, scratch, out);
+        }
+        Ok(())
+    }
+
+    /// [`Dlrm::predict_batch_into`] with a fresh scratch and output vector.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Dlrm::predict_batch_into`].
+    pub fn predict_batch(&self, samples: &[DlrmSample]) -> Result<Vec<f32>, RecsysError> {
         let mut out = vec![0.0f32; samples.len()];
-        par_runs(&mut out, |first, run| {
-            let mut scratch = self.inference_scratch();
-            let mut done = 0usize;
-            while done < run.len() {
-                let block = (run.len() - done).min(MLP_BLOCK);
-                self.predict_block(
-                    &samples[first + done..first + done + block],
-                    &mut scratch,
-                    &mut run[done..done + block],
-                );
-                done += block;
-            }
-        });
+        self.predict_batch_into(samples, &mut self.scratch(), &mut out)?;
         Ok(out)
     }
 
@@ -638,6 +685,145 @@ mod tests {
         assert_eq!(batch.len(), samples.len());
         for (sample, &score) in samples.iter().zip(batch.iter()) {
             assert_eq!(score, model.predict(sample).unwrap());
+        }
+    }
+
+    /// `count` random samples for `config`.
+    fn random_samples(config: &DlrmConfig, count: usize, rng: &mut StdRng) -> Vec<DlrmSample> {
+        (0..count)
+            .map(|_| DlrmSample {
+                dense: (0..config.num_dense_features)
+                    .map(|_| rng.gen_range(-1.0..1.0f32))
+                    .collect(),
+                sparse: config
+                    .sparse_cardinalities
+                    .iter()
+                    .map(|&rows| rng.gen_range(0..rows))
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// The serving benchmark's model shapes: 32 dense features, 26 fields of 1000 rows,
+    /// and the paper's layer widths or the wide ones.
+    fn benchmark_config(wide: bool) -> DlrmConfig {
+        let (bottom_hidden, top_hidden) = if wide {
+            (vec![512, 256, 32], vec![1024, 512, 256, 1])
+        } else {
+            (vec![256, 128, 32], vec![256, 64, 1])
+        };
+        DlrmConfig {
+            num_dense_features: 32,
+            sparse_cardinalities: vec![1000; 26],
+            embedding_dim: 32,
+            bottom_hidden,
+            top_hidden,
+            seed: 42,
+        }
+    }
+
+    #[test]
+    fn predict_batch_into_reuses_one_scratch_across_batch_sizes() {
+        let model = Dlrm::new(DlrmConfig::tiny()).unwrap();
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut scratch = model.scratch();
+        for count in [64, 3, 65] {
+            let samples = random_samples(model.config(), count, &mut rng);
+            let mut scores = vec![f32::NAN; count];
+            model
+                .predict_batch_into(&samples, &mut scratch, &mut scores)
+                .unwrap();
+            for (sample, &score) in samples.iter().zip(&scores) {
+                assert_eq!(score.to_bits(), model.predict(sample).unwrap().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn predict_batch_into_grows_a_scratch_from_a_smaller_model() {
+        let small = Dlrm::new(DlrmConfig::tiny()).unwrap();
+        let model = Dlrm::new(benchmark_config(false)).unwrap();
+        let mut rng = StdRng::seed_from_u64(43);
+        let mut scratch = small.scratch();
+        small
+            .predict_batch_into(
+                &random_samples(small.config(), 5, &mut rng),
+                &mut scratch,
+                &mut [0.0; 5],
+            )
+            .unwrap();
+        let samples = random_samples(model.config(), 9, &mut rng);
+        let mut scores = vec![0.0f32; 9];
+        model
+            .predict_batch_into(&samples, &mut scratch, &mut scores)
+            .unwrap();
+        for (sample, &score) in samples.iter().zip(&scores) {
+            assert_eq!(score.to_bits(), model.predict(sample).unwrap().to_bits());
+        }
+    }
+
+    #[test]
+    fn predict_batch_into_rejects_an_output_of_the_wrong_length() {
+        let model = Dlrm::new(DlrmConfig::tiny()).unwrap();
+        let samples = [tiny_sample(), tiny_sample()];
+        let mut scratch = model.scratch();
+        for len in [0, 1, 3] {
+            let mut scores = vec![7.0f32; len];
+            assert!(matches!(
+                model.predict_batch_into(&samples, &mut scratch, &mut scores),
+                Err(RecsysError::ShapeMismatch { .. })
+            ));
+            assert!(scores.iter().all(|&score| score == 7.0));
+        }
+    }
+
+    /// The serial build `Dlrm::new` must equal: the tables in field order, then the
+    /// bottom MLP, then the top MLP, one after another on one thread.
+    fn serial_reference(config: DlrmConfig) -> Dlrm {
+        let mut bottom_sizes = vec![config.num_dense_features];
+        bottom_sizes.extend_from_slice(&config.bottom_hidden);
+        let mut top_sizes = vec![config.top_input_width()];
+        top_sizes.extend_from_slice(&config.top_hidden);
+        let embedding_tables = config
+            .sparse_cardinalities
+            .iter()
+            .enumerate()
+            .map(|(index, &cardinality)| {
+                EmbeddingTable::new(
+                    cardinality,
+                    config.embedding_dim,
+                    config.seed.wrapping_add(index as u64),
+                )
+                .unwrap()
+            })
+            .collect();
+        Dlrm {
+            bottom_mlp: Mlp::new(
+                &bottom_sizes,
+                Activation::Linear,
+                config.seed.wrapping_add(1000),
+            )
+            .unwrap(),
+            top_mlp: Mlp::new(
+                &top_sizes,
+                Activation::Sigmoid,
+                config.seed.wrapping_add(2000),
+            )
+            .unwrap(),
+            embedding_tables,
+            config,
+        }
+    }
+
+    #[test]
+    fn parallel_construction_equals_the_serial_build() {
+        for config in [
+            DlrmConfig::tiny(),
+            benchmark_config(false),
+            benchmark_config(true),
+        ] {
+            // Not `assert_eq!`: a failure would print two models of a million floats.
+            assert!(Dlrm::new(config.clone()).unwrap() == serial_reference(config));
         }
     }
 

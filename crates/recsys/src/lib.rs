@@ -16,7 +16,8 @@
 //!   one allocation per dtype instead of copying rows;
 //! * [`simd`] — runtime-dispatched SIMD f32 kernels (pooling accumulate, blocked dot)
 //!   pinned bit-identical to their scalar references;
-//! * [`batch`] — CSR pooling batches and the scoped-thread fan-out helpers;
+//! * [`batch`] — CSR pooling batches and the thread fan-out helpers of the offline
+//!   studies and of model construction;
 //! * [`mlp`] — fully connected networks with ReLU/sigmoid activations and backpropagation;
 //! * [`youtube_dnn`] / [`dlrm`] — the two paper models;
 //! * [`quantization`] — int8 symmetric quantization of embeddings (the format stored in
@@ -47,7 +48,7 @@ pub mod youtube_dnn;
 
 pub use arena::RowArena;
 pub use batch::{PoolingBatch, PoolingMode};
-pub use dlrm::{Dlrm, DlrmConfig};
+pub use dlrm::{Dlrm, DlrmConfig, DlrmScratch};
 pub use embedding::EmbeddingTable;
 pub use error::RecsysError;
 pub use features::{DenseFeatures, SparseFeatures, SparseFieldSpec};

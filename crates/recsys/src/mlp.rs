@@ -5,12 +5,53 @@
 //! 256-64-1). This module implements exactly what those stacks need: dense layers with
 //! ReLU hidden activations, an optional sigmoid output, forward inference and SGD
 //! backpropagation.
+//!
+//! # The batched kernel
+//!
+//! [`Mlp::forward_batch_into`] runs each layer as one GEMM over the sample dimension, in
+//! register tiles of 2 weight rows × 8 samples. The batch's activations are kept in
+//! *panels* of 8 samples, each stored input-major (`panel[k * 8 + j]` is input `k` of
+//! the panel's sample `j`), so one step of the tile is one 8-wide load of input `k` for
+//! all eight samples, multiplied by the broadcast weight of each of the two rows: every
+//! weight is read once per eight samples, every input once per two rows, and the tile's
+//! 64 accumulators are eight independent 8-wide add chains where the per-pair dot
+//! product was one. The tiles walk the weights row pair by row pair with every panel
+//! inside, so the weights stream from memory once per batch while the panels stay in
+//! cache; a layer writes its outputs in panel form for the next, and the batch is packed
+//! into panels once on the way in and unpacked once on the way out.
+//!
+//! Samples left over after the full panels are padded with zero samples into one more
+//! panel when there are at least three of them. One or two go one (row, sample) pair at
+//! a time through [`crate::simd::dot_f32`], the single-sample kernel, as one-wide panels
+//! (which hold a sample's row-major inputs): a padded panel costs about as much per row
+//! as three dot products, and a serving batch of one or two is common.
+//!
+//! It is bit-identical to [`Mlp::forward`] by construction. Each (output, sample) pair
+//! keeps its own four-lane accumulator and adds exactly what
+//! [`crate::simd::dot_f32_scalar`] adds, in its order: lane `l` sums `w[k] * x[k]` over
+//! `k ≡ l (mod 4)` with `k` ascending, the lanes combine as `(a0 + a1) + (a2 + a3)`, the
+//! last `inputs mod 4` products are added one by one, and every product is a separate
+//! multiply and add (Rust never fuses them). A sample never meets another sample's
+//! inputs, so the zero padding changes no real output, and an odd last row runs as a
+//! one-row tile.
+//!
+//! The tile reads the layer's row-major `outputs × inputs` weights in place: the weight
+//! it needs at each step is a broadcast scalar, so a repacked copy would buy nothing but
+//! twice the resident weight bytes and more work to build a model. What the kernel packs
+//! is the activations, a few kilobytes per batch. The samples go in the vector lanes
+//! because a tile over row-major samples (weight rows × samples, four lanes per pair
+//! side by side) is vectorized lane-major by the compiler, behind a shuffle per multiply,
+//! and ran barely faster than one dot product per pair. The body is plain safe code
+//! compiled twice, for the target's baseline and for AVX2 behind
+//! [`crate::simd::active_level`], and cannot differ between the two for the reasons
+//! above.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::RecsysError;
+use crate::simd::{active_level, SimdLevel};
 
 /// Activation applied to a layer's output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,10 +94,11 @@ impl Activation {
 ///
 /// The single sequential accumulator of the naive mat-vec serializes every
 /// floating-point add behind the previous one; four lanes keep the FPU pipeline full.
-/// Every forward path (single-sample, scratch, batched) funnels through this one kernel,
-/// so all of them stay bit-identical to each other. The blocking now dispatches to the
-/// SIMD kernel in [`crate::simd`], whose vector path executes the same four lanes as one
-/// 128-bit op and is pinned bit-identical to the scalar reference.
+/// Both single-sample paths funnel through this one kernel, and the batched kernel keeps
+/// its accumulation order (module documentation), so all of them stay bit-identical to
+/// each other. The blocking dispatches to the SIMD kernel in [`crate::simd`], whose
+/// vector path executes the same four lanes as one 128-bit op and is pinned
+/// bit-identical to the scalar reference.
 #[inline]
 fn dot_blocked(w: &[f32], x: &[f32]) -> f32 {
     crate::simd::dot_f32(w, x)
@@ -105,22 +147,18 @@ impl DenseLayer {
         }
     }
 
-    /// Batched forward pass (GEMM over the sample dimension): `count` inputs packed
-    /// row-major at stride `inputs`, outputs packed row-major at stride `outputs`.
-    ///
-    /// The weight row is the outer loop, so each row is streamed from memory once per
-    /// *batch* instead of once per *sample* — the cache-friendly reuse the single-sample
-    /// path cannot get. Per (sample, output) pair the arithmetic is exactly
-    /// [`DenseLayer::forward_into`]'s, so results are bit-identical at any batch size.
-    fn forward_batch_into(&self, input: &[f32], count: usize, output: &mut [f32]) {
-        for o in 0..self.outputs {
-            let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
-            let bias = self.bias[o];
-            for s in 0..count {
-                let x = &input[s * self.inputs..(s + 1) * self.inputs];
-                output[s * self.outputs + o] = self.activation.apply(bias + dot_blocked(row, x));
-            }
+    /// Batched forward pass over `count` samples in packed panels (see the module
+    /// documentation), `inputs` floats per sample in `input` and `outputs` per sample in
+    /// `output`. Dispatches the tiled kernel to its AVX2 instantiation when the process
+    /// runs at that level.
+    fn forward_panels(&self, input: &[f32], count: usize, output: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if active_level() == SimdLevel::Avx2 {
+            // SAFETY: `forward_panels_avx2` is safe code whose only requirement is the
+            // `avx2` target feature, which `active_level` reports only after detecting it.
+            return unsafe { forward_panels_avx2(self, input, count, output) };
         }
+        forward_panels_body(self, input, count, output);
     }
 
     /// Backward pass: given the gradient w.r.t. this layer's output, update the weights
@@ -149,6 +187,124 @@ impl DenseLayer {
     }
 }
 
+/// Samples per panel of packed activations: the tile's vector width.
+const PANEL: usize = 8;
+/// Weight rows per register tile.
+const TILE_ROWS: usize = 2;
+/// The fewest samples left over after the full panels that are padded into one more
+/// panel; fewer go one (row, sample) pair at a time through [`dot_blocked`]. A panel
+/// costs about as much as three dot products per row.
+const MIN_PADDED: usize = 3;
+
+/// The panels a batch of `count` samples is cut into, as `(first sample, width)`: full
+/// panels of [`PANEL`] samples, then the rest either as one more, zero-padded panel or,
+/// below [`MIN_PADDED`] samples, as one-sample panels (a one-wide panel is the sample's
+/// row-major inputs).
+fn panels(count: usize) -> impl Iterator<Item = (usize, usize)> {
+    let full = count - count % PANEL;
+    let (padded, singles) = if count - full >= MIN_PADDED {
+        (full + PANEL, full..full)
+    } else {
+        (full, full..count)
+    };
+    (0..padded)
+        .step_by(PANEL)
+        .map(|first| (first, PANEL))
+        .chain(singles.map(|first| (first, 1)))
+}
+
+/// The register tile: `[r][j]` is the dot product of weight row `w[r]` with sample `j`
+/// of `panel` (`w[r].len()` inputs, packed input-major), each one bit-identical to
+/// [`crate::simd::dot_f32_scalar`] (see the module documentation).
+#[inline(always)]
+fn dot_tile<const R: usize>(w: [&[f32]; R], panel: &[f32]) -> [[f32; PANEL]; R] {
+    let n = w[0].len();
+    let body = n - n % 4;
+    let (blocks, tail) = panel[..n * PANEL].split_at(body * PANEL);
+    let w_blocks = w.map(|row| row[..body].as_chunks::<4>().0);
+    // acc[r][l][j]: lane `l` of the pair (row r, sample j).
+    let mut acc = [[[0.0f32; PANEL]; 4]; R];
+    for (b, inputs) in blocks.as_chunks::<PANEL>().0.chunks_exact(4).enumerate() {
+        for (acc, w) in acc.iter_mut().zip(&w_blocks) {
+            let w = w[b];
+            for ((acc, x), w) in acc.iter_mut().zip(inputs).zip(w) {
+                for (a, x) in acc.iter_mut().zip(x) {
+                    *a += w * x;
+                }
+            }
+        }
+    }
+    let mut dots = [[0.0f32; PANEL]; R];
+    for ((dots, acc), w) in dots.iter_mut().zip(&acc).zip(&w) {
+        let [a0, a1, a2, a3] = *acc;
+        for j in 0..PANEL {
+            dots[j] = (a0[j] + a1[j]) + (a2[j] + a3[j]);
+        }
+        for (x, w) in tail.as_chunks::<PANEL>().0.iter().zip(&w[body..n]) {
+            for (dot, x) in dots.iter_mut().zip(x) {
+                *dot += w * x;
+            }
+        }
+    }
+    dots
+}
+
+/// Rows `o..o + R` (weights `w`) of `layer` over the panel `(first, width)`: the
+/// dot products, then bias and activation into the output panel.
+#[inline(always)]
+fn panel_into<const R: usize>(
+    layer: &DenseLayer,
+    o: usize,
+    w: [&[f32]; R],
+    (first, width): (usize, usize),
+    input: &[f32],
+    output: &mut [f32],
+) {
+    let x = &input[first * layer.inputs..(first + width) * layer.inputs];
+    let mut store = |r: usize, dots: &[f32]| {
+        let start = first * layer.outputs + (o + r) * width;
+        for (out, &dot) in output[start..start + width].iter_mut().zip(dots) {
+            *out = layer.activation.apply(layer.bias[o + r] + dot);
+        }
+    };
+    if width == PANEL {
+        for (r, dots) in dot_tile(w, x).iter().enumerate() {
+            store(r, dots);
+        }
+    } else {
+        for (r, w) in w.iter().enumerate() {
+            store(r, &[dot_blocked(w, x)]);
+        }
+    }
+}
+
+/// [`DenseLayer::forward_panels`], written once: row pairs outside, panels inside, so
+/// the weights stream once per call; an odd last row runs as a one-row tile.
+#[inline(always)]
+fn forward_panels_body(layer: &DenseLayer, input: &[f32], count: usize, output: &mut [f32]) {
+    let inputs = layer.inputs;
+    let row = |o: usize| &layer.weights[o * inputs..(o + 1) * inputs];
+    let full = layer.outputs - layer.outputs % TILE_ROWS;
+    for o in (0..full).step_by(TILE_ROWS) {
+        let w: [&[f32]; TILE_ROWS] = std::array::from_fn(|r| row(o + r));
+        for panel in panels(count) {
+            panel_into(layer, o, w, panel, input, output);
+        }
+    }
+    for o in full..layer.outputs {
+        for panel in panels(count) {
+            panel_into(layer, o, [row(o)], panel, input, output);
+        }
+    }
+}
+
+/// [`forward_panels_body`] compiled for AVX2: the same safe loops, eight lanes wide.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn forward_panels_avx2(layer: &DenseLayer, input: &[f32], count: usize, output: &mut [f32]) {
+    forward_panels_body(layer, input, count, output);
+}
+
 /// A multi-layer perceptron.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
@@ -164,7 +320,8 @@ pub struct MlpScratch {
 }
 
 /// Reusable ping-pong activation buffers for the batched (GEMM-over-samples) forward
-/// pass. Create one per worker with [`Mlp::batch_scratch`] and reuse it across blocks.
+/// pass, holding the packed panels of the module documentation. Create one per worker
+/// with [`Mlp::batch_scratch`] and reuse it across blocks.
 #[derive(Debug, Clone)]
 pub struct MlpBatchScratch {
     front: Vec<f32>,
@@ -179,6 +336,36 @@ impl MlpBatchScratch {
     /// Maximum number of samples one [`Mlp::forward_batch_into`] call can process.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// A scratch that holds nothing yet, for [`MlpBatchScratch::grow_for`] to size on
+    /// first use.
+    pub(crate) fn empty() -> Self {
+        Self {
+            front: Vec::new(),
+            back: Vec::new(),
+            width: 0,
+            capacity: 0,
+        }
+    }
+
+    /// Grow, never shrink, until this scratch serves `mlp` at `capacity` samples.
+    pub(crate) fn grow_for(&mut self, mlp: &Mlp, capacity: usize) {
+        let width = self.width.max(mlp.max_width());
+        let capacity = self.capacity.max(capacity);
+        if (width, capacity) != (self.width, self.capacity) {
+            *self = Self::sized(width, capacity);
+        }
+    }
+
+    fn sized(width: usize, capacity: usize) -> Self {
+        let floats = width * capacity.div_ceil(PANEL) * PANEL;
+        Self {
+            front: vec![0.0; floats],
+            back: vec![0.0; floats],
+            width,
+            capacity,
+        }
     }
 }
 
@@ -253,17 +440,20 @@ impl Mlp {
             .sum()
     }
 
-    /// Build scratch buffers sized for this network, for use with [`Mlp::forward_into`].
-    pub fn scratch(&self) -> MlpScratch {
-        let width = self
-            .layers
+    /// The widest layer side: what one sample's activations need in a scratch buffer.
+    fn max_width(&self) -> usize {
+        self.layers
             .iter()
             .map(|l| l.inputs.max(l.outputs))
             .max()
-            .unwrap_or(0);
+            .unwrap_or(0)
+    }
+
+    /// Build scratch buffers sized for this network, for use with [`Mlp::forward_into`].
+    pub fn scratch(&self) -> MlpScratch {
         MlpScratch {
-            front: vec![0.0; width],
-            back: vec![0.0; width],
+            front: vec![0.0; self.max_width()],
+            back: vec![0.0; self.max_width()],
         }
     }
 
@@ -283,7 +473,8 @@ impl Mlp {
     ///
     /// # Errors
     ///
-    /// Returns [`RecsysError::ShapeMismatch`] if the input width is wrong.
+    /// Returns [`RecsysError::ShapeMismatch`] if the input width is wrong or the scratch
+    /// was built for a narrower network.
     pub fn forward_into<'s>(
         &self,
         input: &[f32],
@@ -294,6 +485,14 @@ impl Mlp {
                 what: "mlp input",
                 expected: self.input_dim(),
                 actual: input.len(),
+            });
+        }
+        let width = scratch.front.len().min(scratch.back.len());
+        if width < self.max_width() {
+            return Err(RecsysError::ShapeMismatch {
+                what: "mlp scratch width",
+                expected: self.max_width(),
+                actual: width,
             });
         }
         let mut src: &mut Vec<f32> = &mut scratch.front;
@@ -311,35 +510,23 @@ impl Mlp {
     /// Build scratch buffers for batched inference of up to `max_batch` samples per call,
     /// for use with [`Mlp::forward_batch_into`].
     pub fn batch_scratch(&self, max_batch: usize) -> MlpBatchScratch {
-        let width = self
-            .layers
-            .iter()
-            .map(|l| l.inputs.max(l.outputs))
-            .max()
-            .unwrap_or(0);
-        let capacity = max_batch.max(1);
-        MlpBatchScratch {
-            front: vec![0.0; width * capacity],
-            back: vec![0.0; width * capacity],
-            width,
-            capacity,
-        }
+        MlpBatchScratch::sized(self.max_width(), max_batch.max(1))
     }
 
     /// Batched allocation-free forward inference: `inputs` holds a whole number of
     /// samples packed row-major at the input width; the return value is the output
     /// activations packed row-major at the output width.
     ///
-    /// Each layer runs as a small GEMM over the sample dimension (weight rows are the
-    /// outer loop, so every row is streamed once per block instead of once per sample).
-    /// Per sample the results are bit-identical to [`Mlp::forward`] and
-    /// [`Mlp::forward_into`] — all three share one dot-product kernel and one
-    /// per-(sample, output) accumulation order.
+    /// Each layer runs as one register-tiled GEMM over the sample dimension that streams
+    /// the weights once per call (see the module documentation). Per sample the results
+    /// are bit-identical to [`Mlp::forward`] and [`Mlp::forward_into`]: all three add the
+    /// same products in the same order.
     ///
     /// # Errors
     ///
     /// Returns [`RecsysError::ShapeMismatch`] if `inputs` is not a whole number of
-    /// input-width rows or holds more samples than the scratch was built for.
+    /// input-width rows, holds more samples than the scratch was built for, or the
+    /// scratch was built for a narrower network.
     pub fn forward_batch_into<'s>(
         &self,
         inputs: &[f32],
@@ -361,21 +548,49 @@ impl Mlp {
                 actual: count,
             });
         }
-        debug_assert!(scratch.width >= input_dim);
+        if scratch.width < self.max_width() {
+            return Err(RecsysError::ShapeMismatch {
+                what: "mlp batch scratch width",
+                expected: self.max_width(),
+                actual: scratch.width,
+            });
+        }
         let mut src: &mut Vec<f32> = &mut scratch.front;
         let mut dst: &mut Vec<f32> = &mut scratch.back;
-        src[..inputs.len()].copy_from_slice(inputs);
-        let mut width = input_dim;
+        // Pack: sample `first + j` becomes column `j` of its panel, and the columns
+        // past the last sample are zero.
+        for (first, width) in panels(count) {
+            let panel = &mut src[first * input_dim..(first + width) * input_dim];
+            panel.fill(0.0);
+            for (j, sample) in inputs[first * input_dim..]
+                .chunks_exact(input_dim)
+                .take(width)
+                .enumerate()
+            {
+                for (k, &x) in sample.iter().enumerate() {
+                    panel[k * width + j] = x;
+                }
+            }
+        }
         for layer in &self.layers {
-            layer.forward_batch_into(
-                &src[..width * count],
-                count,
-                &mut dst[..layer.outputs * count],
-            );
-            width = layer.outputs;
+            layer.forward_panels(src, count, dst);
             std::mem::swap(&mut src, &mut dst);
         }
-        Ok(&src[..width * count])
+        // Unpack into the other buffer, row-major.
+        let output_dim = self.output_dim();
+        for (first, width) in panels(count) {
+            let panel = &src[first * output_dim..(first + width) * output_dim];
+            for (j, out) in dst[first * output_dim..count * output_dim]
+                .chunks_exact_mut(output_dim)
+                .take(width)
+                .enumerate()
+            {
+                for (o, out) in out.iter_mut().enumerate() {
+                    *out = panel[o * width + j];
+                }
+            }
+        }
+        Ok(&dst[..count * output_dim])
     }
 
     /// Forward pass keeping every intermediate activation (needed for backpropagation).
@@ -503,6 +718,99 @@ mod tests {
                 assert_eq!(&out[s * 2..(s + 1) * 2], expected.as_slice());
             }
         }
+
+        // Shapes on both sides of every tile edge — inputs around the four-lane blocks,
+        // outputs around the row pairs, batches around the panels and the DLRM's
+        // 64-sample block — with inputs that hold signed zeros, infinities, NaN,
+        // subnormals and values whose products overflow.
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            -f32::MAX / 3.0,
+        ];
+        for inputs in [1usize, 3, 4, 5, 32, 33, 383] {
+            for outputs in [1usize, 2, 3, 4, 5, 8, 9] {
+                let mlp = Mlp::new(&[inputs, outputs], Activation::Linear, 5).unwrap();
+                let layer = &mlp.layers[0];
+                let mut scratch = mlp.batch_scratch(130);
+                for batch in [1usize, 2, 3, 4, 63, 64, 65, 130] {
+                    let x: Vec<f32> = (0..batch * inputs)
+                        .map(|_| match rng.gen_range(0..8) {
+                            0 => specials[rng.gen_range(0..specials.len())],
+                            _ => rng.gen_range(-2.0..2.0f32),
+                        })
+                        .collect();
+                    // The dispatched kernel against its baseline instantiation, on the
+                    // same packed panels.
+                    let padded = batch.next_multiple_of(PANEL);
+                    let mut packed = vec![0.0f32; padded * inputs];
+                    for (first, width) in panels(batch) {
+                        let samples = x[first * inputs..].chunks_exact(inputs).take(width);
+                        for (j, sample) in samples.enumerate() {
+                            for (k, &v) in sample.iter().enumerate() {
+                                packed[first * inputs + k * width + j] = v;
+                            }
+                        }
+                    }
+                    let mut dispatched = vec![0.0f32; padded * outputs];
+                    let mut baseline = dispatched.clone();
+                    layer.forward_panels(&packed, batch, &mut dispatched);
+                    forward_panels_body(layer, &packed, batch, &mut baseline);
+                    assert_eq!(
+                        bits(&dispatched),
+                        bits(&baseline),
+                        "{inputs}x{outputs} batch {batch}"
+                    );
+                    // The batched pass against one forward pass per sample.
+                    let out = mlp.forward_batch_into(&x, &mut scratch).unwrap();
+                    for (s, sample) in x.chunks_exact(inputs).enumerate() {
+                        assert_eq!(
+                            bits(&out[s * outputs..(s + 1) * outputs]),
+                            bits(&mlp.forward(sample).unwrap()),
+                            "{inputs}x{outputs} batch {batch} sample {s}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The bits of `values`, every NaN as one: IEEE 754 leaves a NaN's payload to the
+    /// order of an add's operands, which the compiler may swap; every other value,
+    /// signed zeros included, is compared exactly.
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values
+            .iter()
+            .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn forward_into_rejects_a_scratch_from_a_narrower_network() {
+        let mlp = Mlp::new(&[4, 2], Activation::Linear, 0).unwrap();
+        let mut narrow = Mlp::new(&[2, 2], Activation::Linear, 0).unwrap().scratch();
+        assert!(matches!(
+            mlp.forward_into(&[1.0; 4], &mut narrow),
+            Err(RecsysError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn forward_batch_into_rejects_a_scratch_from_a_narrower_network() {
+        let mlp = Mlp::new(&[4, 2], Activation::Linear, 0).unwrap();
+        let narrow = Mlp::new(&[2, 2], Activation::Linear, 0).unwrap();
+        let mut scratch = narrow.batch_scratch(2);
+        assert!(matches!(
+            mlp.forward_batch_into(&[1.0; 8], &mut scratch),
+            Err(RecsysError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! 2. **filtering + ranking** — the profile is LSH-signed and matched against the item
 //!    signatures in TCAM mode ([`CmaArray::search_batch`], one serialized search charge
 //!    per query), then the profile becomes the dense input of a [`Dlrm`] sample and the
-//!    batch is scored over the zero-allocation `predict_batch` hot path.
+//!    batch is scored by [`Dlrm::predict_batch_into`] on the worker's own thread, into
+//!    buffers the engine reuses.
 //!
 //! Everything downstream of the batcher operates on whole batches, and all numeric
 //! results are bit-identical whether the cache is enabled or not (cached rows are exact
@@ -28,8 +29,8 @@ use imars_device::characterization::ArrayFom;
 use imars_fabric::cma::CmaArray;
 use imars_fabric::cost::{Cost, CostComponent};
 use imars_recsys::arena::RowArena;
-use imars_recsys::batch::PoolingBatch;
-use imars_recsys::dlrm::{Dlrm, DlrmSample};
+use imars_recsys::batch::{par_map, PoolingBatch};
+use imars_recsys::dlrm::{Dlrm, DlrmSample, DlrmScratch};
 use imars_recsys::embedding::EmbeddingTable;
 use imars_recsys::lsh::RandomHyperplaneLsh;
 use imars_recsys::quantization::{QuantizationParams, QuantizedTable};
@@ -456,6 +457,10 @@ pub struct ServeEngine {
     /// `lsh.signature_words()` words per query, and the TCAM match count of each.
     signatures: Vec<u64>,
     match_counts: Vec<usize>,
+    /// Reused across batches by the ranking stage: the DLRM's scratch, empty until the
+    /// first batch grows it, and the batch's scores.
+    ranking: DlrmScratch,
+    scores: Vec<f32>,
 }
 
 impl ServeEngine {
@@ -593,6 +598,8 @@ impl ServeEngine {
             }
         };
         let engine = Self {
+            ranking: model.scratch(),
+            scores: Vec::new(),
             model,
             store,
             lsh,
@@ -616,7 +623,8 @@ impl ServeEngine {
     }
 
     /// The candidate-filtering stage: the LSH hasher plus a TCAM loaded with every item
-    /// row's signature.
+    /// row's signature. The signatures are computed on every core, a run of rows per
+    /// job, and written to the TCAM in row order.
     fn build_filter(
         model: &Dlrm,
         items: &EmbeddingTable,
@@ -637,10 +645,24 @@ impl ServeEngine {
             config.signature_bits,
             ArrayFom::paper_reference(),
         );
-        let mut signature = vec![0u64; lsh.signature_words()];
-        for row in 0..items.rows() {
-            lsh.signature_into(items.lookup(row)?, &mut signature)?;
-            tcam.write_row_bits(row, &signature, config.signature_bits)?;
+        // About a microsecond per row: enough jobs to keep both cores busy, few enough
+        // that claiming them costs nothing.
+        const ROWS_PER_JOB: usize = 256;
+        let words = lsh.signature_words();
+        let runs = par_map(items.rows().div_ceil(ROWS_PER_JOB), |run| {
+            let rows = run * ROWS_PER_JOB..items.rows().min((run + 1) * ROWS_PER_JOB);
+            let mut signatures = vec![0u64; rows.len() * words];
+            for (row, signature) in rows.zip(signatures.chunks_exact_mut(words)) {
+                lsh.signature_into(items.lookup(row)?, signature)?;
+            }
+            Ok::<_, ServeError>(signatures)
+        });
+        let mut row = 0;
+        for run in runs {
+            for signature in run?.chunks_exact(words) {
+                tcam.write_row_bits(row, signature, config.signature_bits)?;
+                row += 1;
+            }
         }
         Ok((lsh, tcam))
     }
@@ -919,7 +941,9 @@ impl ServeEngine {
                 sparse: request.sparse.clone(),
             })
             .collect();
-        let scores = self.model.predict_batch(&samples)?;
+        self.scores.resize(requests.len(), 0.0);
+        self.model
+            .predict_batch_into(&samples, &mut self.ranking, &mut self.scores)?;
         if let Some(pool) = pool_trace.take() {
             let scratch = BatchScratch {
                 pool_begin_us: pool_begin_us.unwrap_or(0.0),
@@ -945,9 +969,9 @@ impl ServeEngine {
         self.telemetry.batch_size_sum += requests.len() as u64;
         let responses = requests
             .iter()
-            .zip(scores)
+            .zip(&self.scores)
             .zip(&self.match_counts)
-            .map(|((request, score), &matches)| {
+            .map(|((request, &score), &matches)| {
                 let candidates = matches.min(request.query.candidates);
                 self.telemetry.candidates_sum += candidates as u64;
                 ServeResponse {
@@ -1210,6 +1234,32 @@ mod tests {
         let engine = engine(8, ServePrecision::Fp32);
         assert_eq!(engine.num_items(), NUM_ITEMS);
         assert_eq!(engine.config().shards, 4);
+    }
+
+    #[test]
+    fn the_parallel_signature_pass_loads_the_tcam_of_the_serial_loop() {
+        // 1000 rows end in a partial run of rows; 256-bit signatures are four words.
+        let items = EmbeddingTable::new(1000, ITEM_DIM, 5).unwrap();
+        let config = ServeConfig {
+            signature_bits: 256,
+            ..config(0, ServePrecision::Fp32)
+        };
+        let engine = ServeEngine::new(tiny_model(), &items, config.clone()).unwrap();
+        let lsh = RandomHyperplaneLsh::new(ITEM_DIM, 256, config.lsh_seed).unwrap();
+        let mut serial = CmaArray::new(1000, 256, ArrayFom::paper_reference());
+        let mut signature = vec![0u64; lsh.signature_words()];
+        for row in 0..1000 {
+            lsh.signature_into(items.lookup(row).unwrap(), &mut signature)
+                .unwrap();
+            serial.write_row_bits(row, &signature, 256).unwrap();
+        }
+        for row in 0..1000 {
+            assert_eq!(
+                engine.tcam.read_row_bits(row).unwrap().value,
+                serial.read_row_bits(row).unwrap().value,
+                "row {row}"
+            );
+        }
     }
 
     #[test]

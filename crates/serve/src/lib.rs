@@ -7,8 +7,8 @@
 //!
 //! * [`batcher`] — a dynamic batcher coalescing single queries into batches under a
 //!   max-batch-size / max-wait policy (size and deadline flushes);
-//! * [`shard`] — embedding tables range-partitioned across shards with scoped-thread
-//!   fetch workers, generic over f32 and int8 (CMA-format) rows;
+//! * [`shard`] — embedding tables range-partitioned across shards, fetched and pooled on
+//!   the serving worker's thread, generic over f32 and int8 (CMA-format) rows;
 //! * [`cache`] — the hot-row cache with CLOCK, LFU and TinyLFU (frequency sketch +
 //!   doorkeeper admission) replacement policies and hit/miss/coalesce counters, the
 //!   piece that turns Zipf-skewed traffic into a measurable win; it serves either as

@@ -3,9 +3,9 @@
 //! A production catalogue does not live in one flat table: rows are partitioned across
 //! shards (here: contiguous row ranges, the layout RecFlash-style frequency placement
 //! assumes, since Zipf rank order is row order in the synthetic catalogues). The shard
-//! layer owns the row storage, routes a row id to its shard, and fans a batch of missed
-//! row fetches out across one scoped worker thread per shard — the software analogue of
-//! independent CMA banks serving disjoint row ranges in parallel.
+//! layer owns the row storage and routes a row id to its shard. A batch is fetched and
+//! pooled on the serving worker's own thread: the runtime's workers are the serve
+//! path's parallelism, and a thread spawned per batch would only oversubscribe them.
 //!
 //! Storage is generic over the row element: `f32` shards mirror an
 //! `EmbeddingTable`, `i8` shards mirror the
@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 
 use imars_fabric::cost::{Cost, CostBreakdown};
 use imars_recsys::arena::RowArena;
-use imars_recsys::batch::{par_runs, worker_count, PoolingBatch};
+use imars_recsys::batch::PoolingBatch;
 use imars_recsys::embedding::EmbeddingTable;
 use imars_recsys::quantization::QuantizedTable;
 
@@ -314,24 +314,20 @@ impl<T: Lane> Flight<T> {
 
     /// Fill the coalesced lookups from their first occurrence, then sum-pool each
     /// request from the staging buffer: request `i` accumulates staging rows
-    /// `offsets[i]..offsets[i+1]` with [`Lane::accumulate`], fanned across worker
-    /// threads. The accumulation order (flat request order) is the bit-exactness
-    /// contract.
+    /// `offsets[i]..offsets[i+1]` with [`Lane::accumulate`]. The accumulation order
+    /// (flat request order) is the bit-exactness contract.
     pub(crate) fn pool(mut self, offsets: &[usize], out: &mut [T]) {
         let dim = self.dim;
         for &(destination, source) in &self.coalesced {
             self.staging
                 .copy_within(source * dim..(source + 1) * dim, destination * dim);
         }
-        let mut slots: Vec<&mut [T]> = out.chunks_mut(dim).collect();
-        par_runs(&mut slots, |first, run| {
-            for (i, slot) in run.iter_mut().enumerate() {
-                slot.fill(T::default());
-                for position in offsets[first + i]..offsets[first + i + 1] {
-                    T::accumulate_slice(slot, self.row(position));
-                }
+        for (slot, run) in out.chunks_mut(dim).zip(offsets.windows(2)) {
+            slot.fill(T::default());
+            for position in run[0]..run[1] {
+                T::accumulate_slice(slot, self.row(position));
             }
-        });
+        }
     }
 }
 
@@ -352,9 +348,9 @@ pub struct ShardedTable<T> {
     arena: RowArena<T>,
     /// One cache per shard when node caching is installed (shared across engine
     /// clones, like a shard node's cache is shared across its workers). Locked per
-    /// row fetch; each shard's fetches are served by one thread per batch, so the
-    /// per-shard access sequence — and therefore every counter — is deterministic on
-    /// the simulated replay path.
+    /// row fetch; a batch's fetches run in flat order on one thread, so the per-shard
+    /// access sequence — and therefore every counter — is deterministic on the
+    /// simulated replay path.
     node_caches: Option<Arc<Vec<Mutex<HotRowCache<T>>>>>,
 }
 
@@ -545,63 +541,30 @@ impl<T: Lane> ShardedTable<T> {
         Ok(())
     }
 
-    /// Copy the requested rows into per-row output chunks, fanning the work out with one
-    /// scoped worker thread per shard (each shard's fetches are independent). Indices
-    /// must already be validated; `work` pairs a row id with its destination chunk.
-    ///
-    /// Small batches run serially — the spawn overhead is not worth paying below the
-    /// [`worker_count`] threshold.
+    /// Copy the requested rows into per-row output chunks, in flat order, each through
+    /// its shard's node cache when one is installed. Indices must already be validated;
+    /// `work` pairs a row id with its destination chunk.
     pub fn fetch_into(&self, work: Vec<(u32, &mut [T])>) {
         debug_assert!(work
             .iter()
             .all(|(_, chunk)| chunk.len() == self.arena.dim()));
-        if worker_count(work.len()) <= 1 || self.num_shards <= 1 {
-            // The serial path visits rows in flat order, so each shard's cache sees
-            // the same subsequence it would from its dedicated worker below.
-            match &self.node_caches {
-                Some(caches) => {
-                    for (row, chunk) in work {
-                        self.fetch_via_cache(&caches[self.shard_of(row)], row, chunk);
-                    }
-                }
-                None => {
-                    for (row, chunk) in work {
-                        chunk.copy_from_slice(self.row(row));
-                    }
+        match &self.node_caches {
+            Some(caches) => {
+                for (row, chunk) in work {
+                    self.fetch_via_cache(&caches[self.shard_of(row)], row, chunk);
                 }
             }
-            return;
-        }
-        let mut per_shard: Vec<Vec<(u32, &mut [T])>> =
-            (0..self.num_shards).map(|_| Vec::new()).collect();
-        for (row, chunk) in work {
-            per_shard[self.shard_of(row)].push((row, chunk));
-        }
-        std::thread::scope(|scope| {
-            for (shard, jobs) in per_shard.into_iter().enumerate() {
-                if jobs.is_empty() {
-                    continue;
+            None => {
+                for (row, chunk) in work {
+                    chunk.copy_from_slice(self.row(row));
                 }
-                scope.spawn(move || match &self.node_caches {
-                    Some(caches) => {
-                        for (row, chunk) in jobs {
-                            self.fetch_via_cache(&caches[shard], row, chunk);
-                        }
-                    }
-                    None => {
-                        for (row, chunk) in jobs {
-                            chunk.copy_from_slice(self.row(row));
-                        }
-                    }
-                });
             }
-        });
+        }
     }
 
     /// Sum-pool a CSR batch of multi-hot requests into `out` (`batch.len() × dim`,
     /// row-major), accumulating each request's rows in index order with
-    /// [`Lane::accumulate`] and fanning requests out across worker threads. An empty
-    /// request pools to the all-default (zero) row.
+    /// [`Lane::accumulate`]. An empty request pools to the all-default (zero) row.
     ///
     /// For `f32` this is bit-identical to
     /// [`EmbeddingTable::pool`](imars_recsys::embedding::EmbeddingTable::pool) over the
@@ -622,15 +585,12 @@ impl<T: Lane> ShardedTable<T> {
             });
         }
         self.check_indices(batch.indices())?;
-        let mut slots: Vec<&mut [T]> = out.chunks_mut(dim).collect();
-        par_runs(&mut slots, |first, run| {
-            for (i, slot) in run.iter_mut().enumerate() {
-                slot.fill(T::default());
-                for &row in batch.request(first + i) {
-                    T::accumulate_slice(slot, self.row(row));
-                }
+        for (i, slot) in out.chunks_mut(dim).enumerate() {
+            slot.fill(T::default());
+            for &row in batch.request(i) {
+                T::accumulate_slice(slot, self.row(row));
             }
-        });
+        }
         Ok(())
     }
 }
