@@ -1,16 +1,18 @@
 //! Dynamic request batching.
 //!
-//! The batched hot path (`Dlrm::predict_batch`, `gather_pool_batch`) amortizes dispatch
-//! and fans work across cores, but live traffic arrives one query at a time. The dynamic
-//! batcher buys batch efficiency at a bounded latency price with the standard serving
-//! policy (as in clipper/triton-style servers): coalesce queries until either
-//! **max_batch** requests are pending (size flush) or the oldest pending request has
-//! waited **max_wait_us** (deadline flush).
+//! The batched hot path (`Dlrm::predict_batch_into`, one register-tiled GEMM per layer
+//! on the serving thread) amortizes weight traffic and dispatch over the batch, but live
+//! traffic arrives one query at a time. The dynamic batcher buys batch efficiency at a
+//! bounded latency price with the standard serving policy (as in clipper/triton-style
+//! servers): coalesce queries until either **max_batch** requests are pending (size
+//! flush) or the oldest pending request has waited **max_wait_us** (deadline flush).
 //!
 //! The batcher is clock-agnostic: callers pass arrival/poll timestamps in microseconds
 //! on whatever clock they use. The replay driver feeds it virtual timestamps from the
 //! traffic trace, which keeps batching decisions deterministic and testable — no
-//! wall-clock flakiness in the flush tests.
+//! wall-clock flakiness in the flush tests. The threaded runtime adds one rule on a
+//! clock that runs by itself: a worker with nothing to serve never waits for a
+//! deadline, it [`drain`](DynamicBatcher::drain)s what is pending at once.
 
 use serde::{Deserialize, Serialize};
 
@@ -59,7 +61,8 @@ pub enum FlushReason {
     Size,
     /// The oldest pending request reached `max_wait_us`.
     Deadline,
-    /// The stream ended and the remainder was drained.
+    /// What was pending was flushed before either edge: at the end of the stream, or by
+    /// an idle runtime worker.
     Drain,
 }
 
@@ -97,11 +100,13 @@ pub struct DynamicBatcher<T> {
 }
 
 impl<T> DynamicBatcher<T> {
-    /// Create an empty batcher with the given policy.
+    /// Create an empty batcher with the given policy. Nothing is reserved: the pending
+    /// batch grows with what is offered, so `max_batch` is a threshold, never an
+    /// allocation (every flush hands its storage to the batch anyway).
     pub fn new(policy: BatchPolicy) -> Self {
         Self {
             policy,
-            pending: Vec::with_capacity(policy.max_batch),
+            pending: Vec::new(),
             oldest_arrival_us: 0.0,
         }
     }
@@ -158,7 +163,8 @@ impl<T> DynamicBatcher<T> {
         }
     }
 
-    /// Flush whatever is pending at end of stream (`now_us` = drain time).
+    /// Flush what is pending at `now_us` (the batch's trigger time), whatever its size
+    /// and deadline.
     pub fn drain(&mut self, now_us: f64) -> Option<FlushedBatch<T>> {
         if self.pending.is_empty() {
             None

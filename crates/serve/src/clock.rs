@@ -15,6 +15,14 @@ use std::time::Instant;
 pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Microseconds elapsed on this clock (origin is implementation-defined).
     fn now_us(&self) -> f64;
+
+    /// Whether time on this clock moves only when told to ([`ManualClock`]). The threaded
+    /// runtime then forms batches on size and deadline alone, so every batch is a
+    /// function of the trace; on a clock that runs by itself an idle worker flushes
+    /// whatever is pending at once.
+    fn is_manual(&self) -> bool {
+        false
+    }
 }
 
 /// The real monotonic clock, counting microseconds since the clock was created.
@@ -84,6 +92,10 @@ impl ManualClock {
 impl Clock for ManualClock {
     fn now_us(&self) -> f64 {
         f64::from_bits(self.now_bits.load(Ordering::Acquire))
+    }
+
+    fn is_manual(&self) -> bool {
+        true
     }
 }
 

@@ -1303,6 +1303,22 @@ mod tests {
     }
 
     #[test]
+    fn an_unbounded_max_batch_is_a_threshold_not_an_allocation() {
+        let workload = ReplayWorkload::generate(&replay_config(50)).unwrap();
+        let config = ServeConfig {
+            policy: BatchPolicy::new(usize::MAX, 100.0).unwrap(),
+            ..config(0, ServePrecision::Fp32)
+        };
+        let mut unbounded = ServeEngine::new(tiny_model(), &items(), config).unwrap();
+        let outcome = unbounded.replay(&workload).unwrap();
+        let expected = engine(0, ServePrecision::Fp32).replay(&workload).unwrap();
+        assert_eq!(outcome.responses.len(), 50);
+        for (a, b) in outcome.responses.iter().zip(&expected.responses) {
+            assert_eq!((a.id, a.score.to_bits()), (b.id, b.score.to_bits()));
+        }
+    }
+
+    #[test]
     fn replay_produces_coherent_latency_and_throughput() {
         let workload = ReplayWorkload::generate(&replay_config(1500)).unwrap();
         let mut engine = engine(64, ServePrecision::Fp32);

@@ -19,10 +19,11 @@
 //!   ranking, with every numeric result bit-identical cache-on versus cache-off;
 //! * [`replay`] — Zipf traffic traces with Poisson arrivals built on
 //!   [`imars_datasets`]'s workload generators;
-//! * [`runtime`] — the threaded serving runtime: a bounded MPSC request queue feeding
-//!   the batcher on a wall-clock [`clock`], a worker pool of engine clones, counted
-//!   backpressure (rejections and stalls), and a real-time replay driver with
-//!   *measured* latency — bit-identical outputs to the simulated path;
+//! * [`runtime`] — the threaded serving runtime: a bounded request queue feeding a
+//!   worker pool of engine clones that form their own batches on a wall-clock
+//!   [`clock`] (flushing at once when idle), counted backpressure (rejections), and a
+//!   real-time replay driver with *measured* latency — bit-identical outputs to the
+//!   simulated path;
 //! * [`queue`] — the bounded queue primitive behind the runtime's backpressure;
 //! * [`placement`] — catalogue placement across shard nodes: range vs frequency-aware
 //!   (trace-histogram-driven) partitioning with optional hot-row replication, and the

@@ -5,13 +5,18 @@
 //! access, so no crossbeam). The capacity bound is what makes backpressure *real*: a
 //! full queue either rejects the push ([`BoundedQueue::try_push`], load shedding, the
 //! rejection is the caller's to count) or blocks the producer
-//! ([`BoundedQueue::push`], the stall the runtime's telemetry times). Closing the
+//! ([`BoundedQueue::push`], lossless producers). A consumer takes one item at a time
+//! ([`BoundedQueue::pop`]) or a whole backlog under one lock
+//! ([`BoundedQueue::pop_into`], how a runtime worker fills its batch). Closing the
 //! queue wakes every waiter; consumers drain whatever is left before seeing
 //! [`Pop::Closed`], which is exactly the graceful-shutdown drain the runtime needs.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
+
+/// Most slots a new queue reserves up front; deeper queues grow on demand.
+const INITIAL_SLOTS: usize = 256;
 
 /// Why a non-blocking push did not enqueue.
 #[derive(Debug, PartialEq, Eq)]
@@ -53,13 +58,15 @@ pub struct BoundedQueue<T> {
 impl<T> BoundedQueue<T> {
     /// A queue holding at most `capacity` items. Panics if `capacity` is zero — the
     /// runtime validates its configuration before constructing queues, so a zero here
-    /// is a programming error.
+    /// is a programming error. Storage starts at no more than 256 items and grows with
+    /// the depth actually reached, so any capacity, `usize::MAX` included, is a bound
+    /// and never an up-front allocation.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a bounded queue needs capacity >= 1");
         Self {
             capacity,
             state: Mutex::new(State {
-                items: VecDeque::with_capacity(capacity),
+                items: VecDeque::with_capacity(capacity.min(INITIAL_SLOTS)),
                 closed: false,
             }),
             not_empty: Condvar::new(),
@@ -206,6 +213,21 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    /// Move up to `max` queued items, oldest first, onto the end of `out` without
+    /// blocking, under one lock; returns how many moved (0 on an empty queue, open or
+    /// closed). `out` grows by what was queued, never by `max`. Freeing several slots
+    /// wakes every producer blocked on a full queue, once.
+    pub fn pop_into(&self, out: &mut Vec<T>, max: usize) -> usize {
+        let mut state = self.state.lock().expect("queue lock poisoned");
+        let moved = state.items.len().min(max);
+        out.extend(state.items.drain(..moved));
+        drop(state);
+        if moved > 0 {
+            self.not_full.notify_all();
+        }
+        moved
+    }
+
     /// Close the queue: every pending and future push fails, consumers drain the
     /// remaining items and then see [`Pop::Closed`]. Idempotent.
     pub fn close(&self) {
@@ -338,6 +360,77 @@ mod tests {
         // The item enqueued before close still drains.
         assert_eq!(queue.pop(), Pop::Item(0));
         assert_eq!(queue.pop(), Pop::Closed);
+    }
+
+    #[test]
+    fn pop_into_moves_at_most_max_in_fifo_order() {
+        let queue = BoundedQueue::new(8);
+        for item in 0..5u32 {
+            queue.try_push(item).unwrap();
+        }
+        let mut out = vec![99];
+        assert_eq!(queue.pop_into(&mut out, 3), 3);
+        assert_eq!(out, vec![99, 0, 1, 2], "appended, oldest first");
+        assert_eq!(queue.len(), 2);
+        assert_eq!(queue.pop_into(&mut out, usize::MAX), 2);
+        assert_eq!(out, vec![99, 0, 1, 2, 3, 4]);
+        assert!(queue.is_empty());
+    }
+
+    #[test]
+    fn pop_into_returns_zero_on_empty_and_closed_drained_queues() {
+        let queue = BoundedQueue::<u32>::new(4);
+        let mut out = Vec::new();
+        assert_eq!(queue.pop_into(&mut out, 10), 0);
+        queue.try_push(7).unwrap();
+        queue.close();
+        // A closed queue still hands over what it holds, then nothing.
+        assert_eq!(queue.pop_into(&mut out, 10), 1);
+        assert_eq!(queue.pop_into(&mut out, 10), 0);
+        assert_eq!(out, vec![7]);
+        assert_eq!(queue.pop(), Pop::Closed);
+    }
+
+    #[test]
+    fn pop_into_wakes_every_producer_blocked_at_capacity() {
+        let queue = Arc::new(BoundedQueue::new(2));
+        queue.try_push(0u32).unwrap();
+        queue.try_push(1).unwrap();
+        let producers: Vec<_> = (2..=3u32)
+            .map(|i| {
+                let queue = queue.clone();
+                std::thread::spawn(move || queue.push(i))
+            })
+            .collect();
+        // Let both reach the wait on the full queue.
+        std::thread::sleep(Duration::from_millis(20));
+        let mut out = Vec::new();
+        assert_eq!(queue.pop_into(&mut out, 2), 2);
+        assert_eq!(out, vec![0, 1]);
+        // One call freed both slots: both blocked pushes must land. A producer left
+        // asleep is released by the close below, so a lost wake-up fails, not hangs.
+        let waited = std::time::Instant::now();
+        while queue.len() < 2 && waited.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let landed = queue.len();
+        queue.close();
+        for producer in producers {
+            let _ = producer.join().unwrap();
+        }
+        assert_eq!(landed, 2, "one pop_into must wake every blocked producer");
+        let mut items = Vec::new();
+        queue.pop_into(&mut items, 10);
+        items.sort_unstable();
+        assert_eq!(items, vec![2, 3]);
+    }
+
+    #[test]
+    fn a_huge_capacity_is_a_bound_not_an_allocation() {
+        let queue = BoundedQueue::new(usize::MAX);
+        assert_eq!(queue.capacity(), usize::MAX);
+        assert_eq!(queue.try_push(1u32), Ok(1));
+        assert_eq!(queue.pop(), Pop::Item(1));
     }
 
     #[test]

@@ -6,30 +6,37 @@
 //! numbers. This module lifts the same pipeline onto threads:
 //!
 //! ```text
-//! producers --try_submit/submit--> [bounded request queue] --> batcher thread
-//!     (full queue: rejection            (MPSC, capacity =          | DynamicBatcher,
-//!      counted, or producer              queue_capacity)           | wall-clock deadlines
-//!      blocks)                                                     v
-//!                                  [bounded batch queue] --> worker pool (N threads,
-//!                                    (batcher stalls when       each with its own
-//!                                     workers fall behind)      ServeEngine clone)
+//! producers --try_submit/submit--> [bounded request queue] --> workers that batch for
+//!     (full queue: rejection            (capacity =               themselves (N threads,
+//!      counted, or producer              queue_capacity)          each with its own
+//!      blocks)                                                    ServeEngine clone)
 //! ```
 //!
-//! Every stage is bounded, so overload surfaces as *counted* rejections and stalls
-//! instead of unbounded memory growth. Each worker owns a full engine clone (shards,
-//! cache, TCAM, model) — no locks on the hot path, and because cached rows are exact
-//! copies and pooling order is request order, per-request outputs are **bit-identical**
-//! to the simulated single-pipeline path no matter how batches land on workers (pinned
-//! by the cross-path equivalence tests).
+//! There is no batcher thread and no batch queue. The workers share one
+//! [`DynamicBatcher`] behind a `Mutex`, leader/follower style: the idle worker holding
+//! the lock forms the next batch, lets go of the lock, and serves the batch while the
+//! next idle worker leads. Forming is **work-conserving**: a leader that holds pending
+//! requests never waits for a deadline — it moves what is already queued into the batch
+//! under one queue lock ([`BoundedQueue::pop_into`]) and goes. A leader waits only with
+//! nothing pending. On a [manual clock](Clock::is_manual) batches form on size and
+//! deadline alone, through the same loop, so the tests that pin traces and metrics byte
+//! for byte across worker counts see batches that are a function of the trace.
+//!
+//! The request queue is bounded, so overload surfaces as *counted* rejections instead of
+//! unbounded memory growth. Each worker owns a full engine clone (shards, cache, TCAM,
+//! model) — no locks on the hot path, and because cached rows are exact copies and
+//! pooling order is request order, per-request outputs are **bit-identical** to the
+//! simulated single-pipeline path no matter how batches land on workers (pinned by the
+//! cross-path equivalence tests).
 //!
 //! [`replay_threaded`] drives a [`ReplayWorkload`] through the runtime with Poisson
 //! arrivals paced in real time and reports measured p50/p95/p99 latency, queue depth,
 //! rejection rate, and worker utilization next to the modeled GPCiM energy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::batcher::{DynamicBatcher, FlushedBatch};
 use crate::cache::CacheStats;
@@ -42,27 +49,21 @@ use crate::replay::ReplayWorkload;
 use crate::telemetry::{RuntimeStats, ServeTelemetry};
 use crate::trace::TraceLog;
 
-/// Longest the batcher waits for a request when a batch is pending — bounds how stale
-/// its view of a non-advancing (manual) clock can get, and caps deadline overshoot.
+/// Longest a leader holding pending requests on a manual clock waits for the next one —
+/// bounds how stale its view of the non-advancing clock can get.
 const PENDING_POLL_CAP_US: f64 = 1_000.0;
-/// Longest the batcher waits when idle (a push wakes it immediately via the condvar).
-const IDLE_WAIT_US: f64 = 50_000.0;
 
 /// Configuration of the threaded runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Worker threads executing batches (each owns a full engine clone).
+    /// Worker threads: each forms its own batches and owns a full engine clone.
     pub workers: usize,
     /// Capacity of the bounded request queue — the backpressure bound.
     pub queue_capacity: usize,
-    /// Capacity of the flushed-batch queue between the batcher and the workers.
-    pub batch_queue_capacity: usize,
 }
 
 impl RuntimeConfig {
-    /// A runtime with `workers` threads and a `queue_capacity`-deep request queue; the
-    /// batch queue defaults to two batches per worker so the batcher can run ahead
-    /// without unbounded buffering.
+    /// A runtime with `workers` threads and a `queue_capacity`-deep request queue.
     ///
     /// # Errors
     ///
@@ -71,13 +72,12 @@ impl RuntimeConfig {
         let config = Self {
             workers,
             queue_capacity,
-            batch_queue_capacity: workers.saturating_mul(2).max(1),
         };
         config.validate()?;
         Ok(config)
     }
 
-    /// Validate the configuration (zero workers or zero-capacity queues are typed
+    /// Validate the configuration (zero workers or a zero-capacity queue are typed
     /// errors, not panics: a caller wiring config from a CLI gets a `Result`).
     ///
     /// # Errors
@@ -92,11 +92,6 @@ impl RuntimeConfig {
         if self.queue_capacity == 0 {
             return Err(ServeError::InvalidConfig {
                 reason: "threaded runtime needs a request queue capacity >= 1".to_string(),
-            });
-        }
-        if self.batch_queue_capacity == 0 {
-            return Err(ServeError::InvalidConfig {
-                reason: "threaded runtime needs a batch queue capacity >= 1".to_string(),
             });
         }
         Ok(())
@@ -114,13 +109,6 @@ struct SharedCounters {
     depth_samples: AtomicU64,
 }
 
-/// What the batcher thread hands back when it exits.
-#[derive(Debug, Default)]
-struct BatcherExit {
-    stalls: u64,
-    stall_us: f64,
-}
-
 /// What a worker thread hands back: its responses and its engine clone, whose counters,
 /// traces and metrics `shutdown` merges into the run's report.
 type WorkerExit = Result<(Vec<ServeResponse>, ServeEngine), ServeError>;
@@ -130,20 +118,18 @@ type WorkerExit = Result<(Vec<ServeResponse>, ServeEngine), ServeError>;
 #[derive(Debug)]
 pub struct ServeRuntime {
     requests: Arc<BoundedQueue<ServeRequest>>,
-    batches: Arc<BoundedQueue<FlushedBatch<ServeRequest>>>,
     clock: Arc<dyn Clock>,
     shared: Arc<SharedCounters>,
-    batcher: Option<JoinHandle<BatcherExit>>,
     workers: Vec<JoinHandle<WorkerExit>>,
     config: RuntimeConfig,
     start_us: f64,
 }
 
 impl ServeRuntime {
-    /// Start the runtime: spawn the batcher thread and `config.workers` worker threads,
-    /// each worker owning a clone of `engine` (with counters reset). The batching policy
-    /// is taken from the engine's [`ServeConfig`](crate::engine::ServeConfig); deadlines
-    /// are evaluated on `clock`.
+    /// Start the runtime: spawn `config.workers` worker threads, each owning a clone of
+    /// `engine` (with counters reset) and forming its own batches from the shared
+    /// request queue. The batching policy is taken from the engine's
+    /// [`ServeConfig`](crate::engine::ServeConfig); deadlines are evaluated on `clock`.
     ///
     /// # Errors
     ///
@@ -156,18 +142,9 @@ impl ServeRuntime {
         config.validate()?;
         let requests: Arc<BoundedQueue<ServeRequest>> =
             Arc::new(BoundedQueue::new(config.queue_capacity));
-        let batches: Arc<BoundedQueue<FlushedBatch<ServeRequest>>> =
-            Arc::new(BoundedQueue::new(config.batch_queue_capacity));
+        let batcher = Arc::new(Mutex::new(DynamicBatcher::new(engine.config().policy)));
         let shared = Arc::new(SharedCounters::default());
         let start_us = clock.now_us();
-
-        let policy = engine.config().policy;
-        let batcher = {
-            let requests = requests.clone();
-            let batches = batches.clone();
-            let clock = clock.clone();
-            std::thread::spawn(move || run_batcher(&requests, &batches, clock.as_ref(), policy))
-        };
 
         let workers = (0..config.workers)
             .map(|_| {
@@ -177,21 +154,19 @@ impl ServeRuntime {
                 // private wall clock — on a manual clock this freezes them too.
                 engine.set_trace_clock(clock.clone());
                 let requests = requests.clone();
-                let batches = batches.clone();
+                let batcher = batcher.clone();
                 let clock = clock.clone();
                 let shared = shared.clone();
                 std::thread::spawn(move || {
-                    run_worker(engine, &requests, &batches, clock.as_ref(), &shared)
+                    run_worker(engine, &requests, &batcher, clock.as_ref(), &shared)
                 })
             })
             .collect();
 
         Ok(Self {
             requests,
-            batches,
             clock,
             shared,
-            batcher: Some(batcher),
             workers,
             config,
             start_us,
@@ -262,11 +237,10 @@ impl ServeRuntime {
         self.shared.completed.load(Ordering::Relaxed)
     }
 
-    /// Graceful shutdown: stop accepting requests, let the batcher drain everything
-    /// queued (including a final partial batch), let the workers finish every flushed
-    /// batch, then join all threads and aggregate the outcome. Responses are in
-    /// per-worker completion order (concatenated across workers); sort by `id` to
-    /// compare with a trace.
+    /// Graceful shutdown: stop accepting requests, let the workers batch and serve
+    /// everything queued (including a final partial batch), then join them and
+    /// aggregate the outcome. Responses are in per-worker completion order
+    /// (concatenated across workers); sort by `id` to compare with a trace.
     ///
     /// # Errors
     ///
@@ -275,21 +249,6 @@ impl ServeRuntime {
     pub fn shutdown(mut self) -> Result<ReplayOutcome, ServeError> {
         self.requests.close();
         let mut first_error = None;
-        let batcher_exit = match self.batcher.take() {
-            Some(handle) => match handle.join() {
-                Ok(exit) => exit,
-                Err(_) => {
-                    // A dead batcher may have taken pending requests with it: surface
-                    // the loss instead of returning a silently short outcome.
-                    first_error = Some(ServeError::InvalidConfig {
-                        reason: "the batcher thread panicked".to_string(),
-                    });
-                    BatcherExit::default()
-                }
-            },
-            None => BatcherExit::default(),
-        };
-        self.batches.close();
         let mut outputs = Vec::with_capacity(self.workers.len());
         for handle in self.workers.drain(..) {
             match handle.join() {
@@ -338,8 +297,8 @@ impl ServeRuntime {
             queue_capacity: self.config.queue_capacity,
             submitted: self.shared.submitted.load(Ordering::Relaxed),
             rejected: self.shared.rejected.load(Ordering::Relaxed),
-            batcher_stalls: batcher_exit.stalls,
-            batcher_stall_us: batcher_exit.stall_us,
+            batcher_stalls: 0,
+            batcher_stall_us: 0.0,
             queue_depth_max: self.shared.depth_max.load(Ordering::Relaxed),
             queue_depth_sum: self.shared.depth_sum.load(Ordering::Relaxed),
             queue_depth_samples: self.shared.depth_samples.load(Ordering::Relaxed),
@@ -364,126 +323,116 @@ impl ServeRuntime {
 
 impl Drop for ServeRuntime {
     /// Dropping without [`ServeRuntime::shutdown`] (e.g. unwinding past an error) still
-    /// closes the queues and joins the threads so nothing is left running detached.
+    /// closes the request queue and joins the workers so nothing is left running
+    /// detached.
     fn drop(&mut self) {
         self.requests.close();
-        if let Some(handle) = self.batcher.take() {
-            let _ = handle.join();
-        }
-        self.batches.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// The batcher thread: pop requests from the bounded queue, coalesce them under the
-/// policy with deadlines evaluated on `clock`, and push flushed batches downstream.
-/// Blocking on a full batch queue is the measured stall; a closed batch queue (a worker
-/// died) ends the loop.
-fn run_batcher(
+/// Form the next batch as the leader, holding the shared batcher; deadlines are
+/// evaluated on `clock`. On a clock that runs by itself this is work-conserving: it
+/// moves what is already queued into the batch (up to `max_batch`, under one queue
+/// lock) and flushes at once, and waits only with nothing pending. On a manual clock it
+/// flushes on size and deadline alone. Returns `None` once the queue is closed and
+/// drained with nothing pending — the worker's cue to exit. `taken` is a staging
+/// buffer, empty between calls.
+fn next_batch(
+    batcher: &mut DynamicBatcher<ServeRequest>,
     requests: &BoundedQueue<ServeRequest>,
-    batches: &BoundedQueue<FlushedBatch<ServeRequest>>,
     clock: &dyn Clock,
-    policy: crate::batcher::BatchPolicy,
-) -> BatcherExit {
-    let mut batcher: DynamicBatcher<ServeRequest> = DynamicBatcher::new(policy);
-    let mut exit = BatcherExit::default();
+    taken: &mut Vec<ServeRequest>,
+) -> Option<FlushedBatch<ServeRequest>> {
+    let work_conserving = !clock.is_manual();
     loop {
         let now = clock.now_us();
         if let Some(batch) = batcher.poll(now) {
-            if !push_batch(batches, batch, &mut exit) {
-                return exit;
+            return Some(batch);
+        }
+        if work_conserving {
+            // The room taken is exactly what fills the batch: only the last offer can
+            // flush it on size.
+            requests.pop_into(taken, batcher.policy().max_batch - batcher.pending());
+            for request in taken.drain(..) {
+                if let Some(batch) = batcher.offer(request, now) {
+                    return Some(batch);
+                }
+            }
+            if batcher.pending() > 0 {
+                return batcher.drain(now);
             }
         }
-        let wait_us = match batcher.deadline_us() {
-            Some(deadline) => (deadline - clock.now_us()).clamp(0.0, PENDING_POLL_CAP_US),
-            None => IDLE_WAIT_US,
+        // Only on a manual clock can a batch be pending here.
+        let popped = match batcher.deadline_us() {
+            Some(deadline) => requests.pop_timeout(Duration::from_secs_f64(
+                (deadline - now).clamp(1.0, PENDING_POLL_CAP_US) / 1e6,
+            )),
+            None => requests.pop(),
         };
-        match requests.pop_timeout(Duration::from_secs_f64(wait_us.max(1.0) / 1e6)) {
+        match popped {
             Pop::Item(request) => {
-                // Offer at pop time (monotone, so arrival order holds); the submit
-                // stamp in `arrival_us` still anchors the measured end-to-end latency.
+                // Offered at pop time (monotone, so arrival order holds); the submit
+                // stamp in `arrival_us` still anchors the measured latency. Polled
+                // first so an overdue batch is not grown past its deadline; the request
+                // then opens the next batch, which one request cannot fill (a batch was
+                // pending, so `max_batch > 1`).
                 let now = clock.now_us();
-                if let Some(batch) = batcher.poll(now) {
-                    if !push_batch(batches, batch, &mut exit) {
-                        return exit;
-                    }
-                }
-                if let Some(batch) = batcher.offer(request, now) {
-                    if !push_batch(batches, batch, &mut exit) {
-                        return exit;
-                    }
+                let overdue = batcher.poll(now);
+                let full = batcher.offer(request, now);
+                if let Some(batch) = overdue.or(full) {
+                    return Some(batch);
                 }
             }
             Pop::TimedOut => {}
-            Pop::Closed => {
-                if let Some(batch) = batcher.drain(clock.now_us()) {
-                    push_batch(batches, batch, &mut exit);
-                }
-                return exit;
-            }
+            Pop::Closed => return batcher.drain(clock.now_us()),
         }
     }
 }
 
-/// Push a flushed batch downstream; a full queue is the backpressure stall (counted and
-/// timed). Returns `false` when the batch queue is closed (a worker died) — the caller
-/// stops batching.
-fn push_batch(
-    batches: &BoundedQueue<FlushedBatch<ServeRequest>>,
-    batch: FlushedBatch<ServeRequest>,
-    exit: &mut BatcherExit,
-) -> bool {
-    match batches.try_push(batch) {
-        Ok(_) => true,
-        Err(PushError::Full(batch)) => {
-            exit.stalls += 1;
-            let stall_started = Instant::now();
-            let pushed = batches.push(batch).is_ok();
-            exit.stall_us += stall_started.elapsed().as_secs_f64() * 1e6;
-            pushed
-        }
-        Err(PushError::Closed(_)) => false,
-    }
-}
-
-/// Closes both runtime queues if the owning thread unwinds, so a panicking worker
-/// cannot leave the batcher blocked on a full batch queue (which `shutdown` joins
-/// first) or producers blocked on submit — a panic must fail the run, not deadlock it.
+/// Closes the request queue if the owning thread unwinds, so a panicking worker cannot
+/// leave producers blocked on submit or the other workers waiting for requests — a
+/// panic must fail the run, not deadlock it.
 struct CloseQueuesOnPanic<'a> {
     requests: &'a BoundedQueue<ServeRequest>,
-    batches: &'a BoundedQueue<FlushedBatch<ServeRequest>>,
 }
 
 impl Drop for CloseQueuesOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.requests.close();
-            self.batches.close();
         }
     }
 }
 
-/// A worker thread: serve flushed batches on an owned engine clone, on the measured
-/// timeline (latency = completion on `clock` minus submit stamp, recorded in the
-/// clone's telemetry). On an engine error (or panic, via [`CloseQueuesOnPanic`]), close
-/// both queues so producers and the batcher unblock instead of deadlocking, and hand
-/// the error to `shutdown`.
+/// A worker thread: lead in turn — take the shared batcher, form the next batch, let go
+/// — and serve each batch on an owned engine clone, on the measured timeline (latency =
+/// completion on `clock` minus submit stamp, recorded in the clone's telemetry). On an
+/// engine error (or panic, via [`CloseQueuesOnPanic`]), close the request queue so
+/// producers and the other workers unblock instead of deadlocking, and hand the error
+/// to `shutdown`.
 fn run_worker(
     mut engine: ServeEngine,
     requests: &BoundedQueue<ServeRequest>,
-    batches: &BoundedQueue<FlushedBatch<ServeRequest>>,
+    batcher: &Mutex<DynamicBatcher<ServeRequest>>,
     clock: &dyn Clock,
     shared: &SharedCounters,
 ) -> WorkerExit {
-    let _panic_guard = CloseQueuesOnPanic { requests, batches };
+    let _panic_guard = CloseQueuesOnPanic { requests };
+    let mut taken = Vec::new();
     let mut responses = Vec::new();
     loop {
-        let batch = match batches.pop() {
-            Pop::Item(batch) => batch,
-            Pop::Closed => break,
-            Pop::TimedOut => continue,
+        // The lock is released before serving, so the next idle worker leads meanwhile.
+        // A poisoned lock means another worker panicked while forming a batch; that
+        // panic fails the run.
+        let batch = match batcher.lock() {
+            Ok(mut leader) => next_batch(&mut leader, requests, clock, &mut taken),
+            Err(_) => None,
+        };
+        let Some(batch) = batch else {
+            break;
         };
         let timeline = Timeline::Measured(clock);
         let batch_responses = match engine.serve_batch(&batch.requests, batch.trigger_us, timeline)
@@ -491,7 +440,6 @@ fn run_worker(
             Ok(batch_responses) => batch_responses,
             Err(error) => {
                 requests.close();
-                batches.close();
                 return Err(error);
             }
         };
@@ -506,7 +454,7 @@ fn run_worker(
 /// Configuration of a threaded replay run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadedReplayConfig {
-    /// The runtime shape: workers and queue bounds.
+    /// The runtime shape: workers and the request-queue bound.
     pub runtime: RuntimeConfig,
     /// Arrival-time divisor: `1.0` replays the trace's Poisson arrivals in real time,
     /// `10.0` plays it 10× faster, [`f64::INFINITY`] submits back-to-back (peak-load
@@ -611,6 +559,7 @@ mod tests {
     use imars_datasets::workload::InferenceQuery;
     use imars_recsys::dlrm::{Dlrm, DlrmConfig};
     use imars_recsys::EmbeddingTable;
+    use std::time::Instant;
 
     const ITEM_DIM: usize = 4;
     const NUM_ITEMS: usize = 512;
@@ -673,7 +622,7 @@ mod tests {
             Err(ServeError::InvalidConfig { .. })
         ));
         let mut config = RuntimeConfig::new(1, 1).unwrap();
-        config.batch_queue_capacity = 0;
+        config.queue_capacity = 0;
         assert!(matches!(
             config.validate(),
             Err(ServeError::InvalidConfig { .. })
@@ -758,14 +707,13 @@ mod tests {
 
     #[test]
     fn full_queue_counts_rejections_without_deadlocking() {
-        // One slow worker (every request is its own batch), a batch queue of 1 and a
-        // tiny request queue: a fast burst MUST overflow the request queue. The burst
-        // far exceeds total downstream buffering (1 pending + 1 queued batch + request
-        // queue 2), so rejections are guaranteed regardless of machine speed, and the
-        // accepted requests must all still complete.
+        // One slow worker (every request is its own batch) and a tiny request queue: a
+        // fast burst MUST overflow the request queue. The burst far exceeds total
+        // downstream buffering (1 batch in service + request queue 2), so rejections
+        // are guaranteed regardless of machine speed, and the accepted requests must all
+        // still complete.
         let engine = engine_with_policy(BatchPolicy::new(1, 1e9).unwrap());
-        let mut config = RuntimeConfig::new(1, 2).unwrap();
-        config.batch_queue_capacity = 1;
+        let config = RuntimeConfig::new(1, 2).unwrap();
         let runtime = ServeRuntime::start(&engine, config, Arc::new(WallClock::new())).unwrap();
         let total: u64 = 400;
         let mut accepted = 0u64;
@@ -832,32 +780,89 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_worker_flushes_a_lone_request_without_waiting_for_its_deadline() {
+        // A 1000 s deadline and a 64-wide batch: only the work-conserving flush can
+        // answer one request in time.
+        let engine = engine_with_policy(BatchPolicy::new(64, 1e9).unwrap());
+        let runtime = ServeRuntime::start(
+            &engine,
+            RuntimeConfig::new(1, 8).unwrap(),
+            Arc::new(WallClock::new()),
+        )
+        .unwrap();
+        runtime.submit(request(0)).unwrap();
+        let waited = Instant::now();
+        while runtime.completed() < 1 && waited.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            runtime.completed(),
+            1,
+            "an idle worker must not wait for the deadline"
+        );
+        assert_eq!(runtime.shutdown().unwrap().responses.len(), 1);
+    }
+
+    #[test]
+    fn a_backlog_still_forms_full_batches() {
+        // The closed loop: with 200 requests already queued, the leader takes a full
+        // batch at once, and the next one too.
+        use crate::batcher::FlushReason;
+        let requests = BoundedQueue::new(256);
+        for id in 0..200 {
+            requests.try_push(request(id)).unwrap();
+        }
+        let mut batcher = DynamicBatcher::new(BatchPolicy::new(64, 1e9).unwrap());
+        let clock = WallClock::new();
+        let mut taken = Vec::new();
+        let mut next = || next_batch(&mut batcher, &requests, &clock, &mut taken);
+        for first_id in [0u64, 64, 128] {
+            let batch = next().expect("a batch");
+            assert_eq!(batch.reason, FlushReason::Size);
+            let ids: Vec<u64> = batch.requests.iter().map(|r| r.id).collect();
+            assert_eq!(ids, (first_id..first_id + 64).collect::<Vec<_>>());
+        }
+        requests.close();
+        let rest = next().expect("the remainder");
+        assert_eq!((rest.len(), rest.reason), (8, FlushReason::Drain));
+        assert!(next().is_none(), "closed and drained: the worker exits");
+        assert!(taken.is_empty());
+    }
+
+    #[test]
+    fn an_unbounded_queue_capacity_is_a_bound_not_an_allocation() {
+        let engine = engine_with_policy(BatchPolicy::new(8, 100.0).unwrap());
+        let runtime = ServeRuntime::start(
+            &engine,
+            RuntimeConfig::new(1, usize::MAX).unwrap(),
+            Arc::new(WallClock::new()),
+        )
+        .unwrap();
+        runtime.try_submit(request(0)).unwrap();
+        let outcome = runtime.shutdown().unwrap();
+        assert_eq!(outcome.responses.len(), 1);
+        assert_eq!(outcome.report.runtime.unwrap().queue_capacity, usize::MAX);
+    }
+
+    #[test]
     fn a_panicking_worker_closes_the_queues_instead_of_deadlocking() {
         let requests: BoundedQueue<ServeRequest> = BoundedQueue::new(4);
-        let batches: BoundedQueue<FlushedBatch<ServeRequest>> = BoundedQueue::new(1);
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
                 let _guard = CloseQueuesOnPanic {
                     requests: &requests,
-                    batches: &batches,
                 };
                 panic!("worker died mid-batch");
             });
             assert!(handle.join().is_err(), "the thread must have panicked");
         });
         assert!(requests.is_closed(), "panic must close the request queue");
-        assert!(batches.is_closed(), "panic must close the batch queue");
         // A clean exit must NOT close anything (other workers keep consuming).
         let open: BoundedQueue<ServeRequest> = BoundedQueue::new(4);
-        let open_batches: BoundedQueue<FlushedBatch<ServeRequest>> = BoundedQueue::new(1);
         {
-            let _guard = CloseQueuesOnPanic {
-                requests: &open,
-                batches: &open_batches,
-            };
+            let _guard = CloseQueuesOnPanic { requests: &open };
         }
         assert!(!open.is_closed());
-        assert!(!open_batches.is_closed());
     }
 
     #[test]

@@ -398,9 +398,11 @@ pub struct RuntimeStats {
     pub submitted: u64,
     /// Requests rejected because the queue was full (load shedding).
     pub rejected: u64,
-    /// Times the batcher thread stalled pushing a flushed batch to a full batch queue.
+    /// Always 0: the runtime's workers form their own batches, so there is no batcher
+    /// thread to stall on a batch queue. Kept so reports and their readers keep the
+    /// field.
     pub batcher_stalls: u64,
-    /// Total time the batcher thread spent stalled, microseconds.
+    /// Always 0, like [`RuntimeStats::batcher_stalls`].
     pub batcher_stall_us: f64,
     /// Deepest request-queue depth observed at a submit.
     pub queue_depth_max: u64,
@@ -686,12 +688,10 @@ impl ServeReport {
             );
             let _ = writeln!(
                 s,
-                "  backpressure: {} accepted, {} rejected ({:.1}%), {} batcher stalls ({:.0}us stalled)",
+                "  backpressure: {} accepted, {} rejected ({:.1}%)",
                 runtime.submitted,
                 runtime.rejected,
                 runtime.rejection_rate() * 100.0,
-                runtime.batcher_stalls,
-                runtime.batcher_stall_us,
             );
         }
         if let Some(metrics) = &self.metrics {

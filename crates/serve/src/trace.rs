@@ -77,7 +77,9 @@ fn mix(seed: u64, id: u64) -> u64 {
 pub enum Stage {
     /// Arrival (or submission) until the batcher flushed the query's batch.
     BatchForm,
-    /// Flush until a worker started serving the batch.
+    /// Flush until a worker started serving the batch. ≈ 0 on the threaded runtime,
+    /// where the worker that flushes a batch serves it; on the simulated replay it is
+    /// the wait for the one virtual engine to come free.
     QueueWait,
     /// Cache probe phase of pooling (hit copies, miss bookkeeping, coalescing).
     CacheLookup,
