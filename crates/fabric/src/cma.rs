@@ -635,14 +635,21 @@ impl CmaArray {
         })
     }
 
-    /// Count-only [`CmaArray::search_batch`] over flat queries: `counts[q]` becomes the
-    /// number of valid rows within `threshold` of the query held in the `query_words`
-    /// words starting at `q * query_words` of `queries` — the length of the list
-    /// `search_batch` would return for it, without forming the list. For a caller that
-    /// keeps both buffers the call allocates nothing.
+    /// Capped, count-only [`CmaArray::search_batch`] over flat queries: `counts[q]`
+    /// becomes `min(matches, cap)`, where `matches` is the number of valid rows within
+    /// `threshold` of the query held in the `query_words` words starting at
+    /// `q * query_words` of `queries` — the length of the list `search_batch` would return
+    /// for it, without forming the list. For a caller that keeps both buffers the call
+    /// allocates nothing.
+    ///
+    /// The cap is where the host twin may stop: a query is not scanned past the tile of
+    /// rows in which its count reaches `cap`, and the scan ends once every query has
+    /// reached it. `usize::MAX` counts every match; a query with fewer matches than its
+    /// cap is scanned to the last row either way.
     ///
     /// The charge is [`CmaArray::search_batch`]'s, for the reason given there: one
-    /// serialized search figure of merit per query.
+    /// serialized search figure of merit per query, whatever the cap — the modelled array
+    /// search does not depend on how many rows match.
     ///
     /// # Errors
     ///
@@ -654,6 +661,7 @@ impl CmaArray {
         queries: &[u64],
         query_words: usize,
         threshold: u32,
+        cap: usize,
         counts: &mut [usize],
     ) -> Result<Outcome<()>, FabricError> {
         let expected = counts.len().saturating_mul(query_words);
@@ -671,7 +679,7 @@ impl CmaArray {
                 count: counts.len(),
             };
             counts.fill(0);
-            simd::scan_counts(&self.bit_rows(), &queries, threshold, counts);
+            simd::scan_counts(&self.bit_rows(), &queries, threshold, cap, counts);
         })
     }
 
@@ -1095,12 +1103,13 @@ mod tests {
         queries: &[Vec<u64>],
         query_words: usize,
         threshold: u32,
+        cap: usize,
     ) -> (Vec<usize>, Outcome<()>) {
         let flat: Vec<u64> = queries.iter().flatten().copied().collect();
         // Dirty on entry: every slot must be overwritten, not added to.
         let mut counts = vec![usize::MAX; queries.len()];
         let outcome = cma
-            .count_batch(&flat, query_words, threshold, &mut counts)
+            .count_batch(&flat, query_words, threshold, cap, &mut counts)
             .unwrap();
         (counts, outcome)
     }
@@ -1139,19 +1148,48 @@ mod tests {
                     .collect();
                 for threshold in [0, (query_words * 32) as u32, 256] {
                     let lists = cma.search_batch(&queries, threshold).unwrap();
-                    let (counts, outcome) = count_flat(cma, &queries, query_words, threshold);
                     let lengths: Vec<usize> = lists.value.iter().map(Vec::len).collect();
-                    assert_eq!(counts, lengths, "query words {query_words}");
-                    assert_eq!(outcome.cost, lists.cost);
-                    assert_eq!(outcome.breakdown, lists.breakdown);
+                    // Caps at every query's own length and either side of it, so each
+                    // query is cut exactly at, just before and just past its last match.
+                    let caps = lengths
+                        .iter()
+                        .flat_map(|&len| [len.saturating_sub(1), len, len + 1])
+                        .chain([0, 1, usize::MAX]);
+                    for cap in caps {
+                        let (counts, outcome) =
+                            count_flat(cma, &queries, query_words, threshold, cap);
+                        let capped: Vec<usize> = lengths.iter().map(|&len| len.min(cap)).collect();
+                        assert_eq!(counts, capped, "query words {query_words} cap {cap}");
+                        // The charge does not depend on how far the host twin scanned.
+                        assert_eq!(outcome.cost, lists.cost);
+                        assert_eq!(outcome.breakdown, lists.breakdown);
+                    }
                 }
             }
         }
         assert!(cma.search_batch(&[vec![0; 4]], 128).unwrap().value[0].len() > 100);
         // No queries: no counts, no charge.
-        let (counts, outcome) = count_flat(&cma, &[], 4, 5);
+        let (counts, outcome) = count_flat(&cma, &[], 4, 5, usize::MAX);
         assert!(counts.is_empty());
         assert_eq!(outcome.cost, Cost::ZERO);
+
+        // A query that never reaches the cap beside queries that reach it in the first
+        // tile: rows 0..256 are all zeros and the two all-ones rows sit in the last tile,
+        // so the open query must be scanned to the end after the others have stopped.
+        let mut cma = CmaArray::new(700, 256, ArrayFom::paper_reference());
+        for row in 0..700 {
+            let word = match row {
+                0..=255 => 0,
+                600 | 699 => u64::MAX,
+                _ => 0x5555_5555_5555_5555,
+            };
+            cma.write_row_bits(row, &[word; 4], 256).unwrap();
+        }
+        let queries = vec![vec![0; 4], vec![u64::MAX; 4], vec![0; 4]];
+        let lists = cma.search_batch(&queries, 8).unwrap().value;
+        assert_eq!(lists[1], vec![600, 699]);
+        let (counts, _) = count_flat(&cma, &queries, 4, 8, 10);
+        assert_eq!(counts, vec![10, 2, 10]);
     }
 
     #[test]
@@ -1160,30 +1198,35 @@ mod tests {
         cma.write_row_bits(0, &[0; 4], 256).unwrap();
         let mut counts = vec![7usize; 2];
         // A query wider than the row: rejected like `search_batch` rejects it.
-        assert!(matches!(
-            cma.count_batch(&[0; 10], 5, 0, &mut counts),
-            Err(FabricError::DimensionMismatch {
-                expected: 4,
-                actual: 5,
-                what: "query words",
-            })
-        ));
+        // A cap of 0 needs no scan at all, and still does not skip the validation.
+        for cap in [usize::MAX, 0] {
+            assert!(matches!(
+                cma.count_batch(&[0; 10], 5, 0, cap, &mut counts),
+                Err(FabricError::DimensionMismatch {
+                    expected: 4,
+                    actual: 5,
+                    what: "query words",
+                })
+            ));
+            // A flat buffer that does not hold `counts.len()` queries of the stated width.
+            assert!(matches!(
+                cma.count_batch(&[0; 7], 4, 0, cap, &mut counts),
+                Err(FabricError::DimensionMismatch {
+                    expected: 8,
+                    actual: 7,
+                    what: "flat query words",
+                })
+            ));
+            assert_eq!(
+                counts,
+                vec![7, 7],
+                "a rejected call leaves the counts alone"
+            );
+        }
         assert!(cma.search_batch(&[vec![0; 4], vec![0; 5]], 0).is_err());
-        // A flat buffer that does not hold `counts.len()` queries of the stated width.
-        assert!(matches!(
-            cma.count_batch(&[0; 7], 4, 0, &mut counts),
-            Err(FabricError::DimensionMismatch {
-                expected: 8,
-                actual: 7,
-                what: "flat query words",
-            })
-        ));
-        assert_eq!(
-            counts,
-            vec![7, 7],
-            "a rejected call leaves the counts alone"
-        );
-        assert!(cma.count_batch(&[0; 8], 4, 0, &mut counts).is_ok());
+        assert!(cma
+            .count_batch(&[0; 8], 4, 0, usize::MAX, &mut counts)
+            .is_ok());
         assert_eq!(counts, vec![1, 1]);
     }
 

@@ -454,7 +454,8 @@ pub struct ServeEngine {
     /// Per-clone state — the threaded runtime merges its workers' scrapers.
     metrics: Option<MetricsScraper>,
     /// Reused across batches by the filtering stage: the batch's LSH signatures, flat at
-    /// `lsh.signature_words()` words per query, and the TCAM match count of each.
+    /// `lsh.signature_words()` words per query, and the TCAM match count of each, capped
+    /// at the batch's largest `candidates`.
     signatures: Vec<u64>,
     match_counts: Vec<usize>,
     /// Reused across batches by the ranking stage: the DLRM's scratch, empty until the
@@ -911,8 +912,9 @@ impl ServeEngine {
         }
 
         // 2. Candidate filtering: LSH signatures matched in TCAM mode, one serialized
-        //    search per query. A response reports how many rows matched, not which, so
-        //    the engine asks the array for the counts.
+        //    search per query. A response reports how many rows matched, capped at its
+        //    own `candidates`, not which, so the engine asks the array for the counts up
+        //    to the batch's largest cap; the host twin stops scanning a query there.
         let signature_words = self.lsh.signature_words();
         self.signatures.resize(requests.len() * signature_words, 0);
         self.match_counts.resize(requests.len(), 0);
@@ -922,10 +924,12 @@ impl ServeEngine {
         {
             self.lsh.signature_into(profile, signature)?;
         }
+        let cap = requests.iter().map(|r| r.query.candidates).max();
         let search = self.tcam.count_batch(
             &self.signatures,
             signature_words,
             self.config.search_radius,
+            cap.unwrap_or_default(),
             &mut self.match_counts,
         )?;
         let filter_end_us = pool_trace.as_ref().map(|t| t.clock.now_us());
@@ -1414,6 +1418,40 @@ mod tests {
         assert_eq!(again, first);
         let counts: Vec<usize> = first.iter().map(|answer| answer.2).collect();
         assert!(counts.iter().any(|&count| count != counts[0]), "{counts:?}");
+    }
+
+    #[test]
+    fn a_batch_wide_scan_cap_answers_each_request_at_its_own_cap() {
+        let workload = ReplayWorkload::generate(&replay_config(16)).unwrap();
+        let mut requests = workload.requests().to_vec();
+        let caps = [0, 1, 100, NUM_ITEMS].into_iter().cycle();
+        for (request, candidates) in requests.iter_mut().zip(caps) {
+            request.query.candidates = candidates;
+        }
+        let mut engine = engine(0, ServePrecision::Fp32);
+        let responses = engine.process_batch(&requests).unwrap();
+        // The uncapped match lists of the same signatures, from the list search.
+        let signatures: Vec<Vec<u64>> = engine
+            .signatures
+            .chunks(engine.lsh.signature_words())
+            .map(<[u64]>::to_vec)
+            .collect();
+        let lists = engine
+            .tcam
+            .search_batch(&signatures, engine.config.search_radius)
+            .unwrap()
+            .value;
+        assert_eq!(lists.len(), requests.len());
+        for ((request, response), list) in requests.iter().zip(&responses).zip(&lists) {
+            let expected = list.len().min(request.query.candidates);
+            assert_eq!(response.candidates, expected, "query {}", request.id);
+        }
+        // The uncapped requests see counts past every smaller cap in the batch.
+        assert!(requests
+            .iter()
+            .zip(&responses)
+            .any(|(request, response)| request.query.candidates == NUM_ITEMS
+                && response.candidates > 100));
     }
 
     #[test]
