@@ -24,6 +24,8 @@
 //! `target/imars-bench/<suite>.json`, or to the path in the `IMARS_BENCH_OUT`
 //! environment variable when set.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -23,6 +23,8 @@
 //!   curves per replacement policy, skew, and cache placement, with a winning-policy
 //!   frontier.
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod cache_scaling;
 pub mod end_to_end;

@@ -16,6 +16,8 @@
 //! ET-lookup pooling cost), and a leave-one-out test split (the protocol behind the hit
 //! rate metric).
 
+#![forbid(unsafe_code)]
+
 pub mod criteo;
 pub mod movielens;
 pub mod workload;

@@ -27,6 +27,8 @@
 //! assert!((fom.cma.read.energy_pj - 3.2).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adder_tree;
 pub mod area;
 pub mod calibration;

@@ -70,17 +70,6 @@ pub fn saturating_add_packed_i8(a: u64, b: u64) -> u64 {
     (wrapped & !mask) | (saturated & mask)
 }
 
-/// Accumulate one packed row into a packed accumulator with lane-wise saturating int8
-/// adds. Rows shorter than the accumulator contribute zero to the remaining words.
-///
-/// Dispatches to the widest SIMD kernel the host supports (see [`crate::simd`]); every
-/// path is bit-identical to [`crate::simd::saturating_accumulate_packed_scalar`], the
-/// always-on SWAR reference built from [`saturating_add_packed_i8`].
-#[inline]
-pub fn saturating_accumulate_packed(acc: &mut [u64], row: &[u64]) {
-    crate::simd::saturating_accumulate_packed(acc, row);
-}
-
 /// A dense int8 embedding table stored in the packed row format of the CMA (8 elements
 /// per 64-bit word, little-endian bytes) — the software twin of a bank of RAM-mode rows.
 ///
@@ -204,7 +193,7 @@ impl PackedTable {
         }
         acc.fill(0);
         for &index in indices {
-            saturating_accumulate_packed(acc, self.row_words(index as usize));
+            simd::saturating_accumulate_packed(acc, self.row_words(index as usize));
         }
         unpack_embedding_into(acc, out);
         Ok(())
@@ -464,7 +453,7 @@ impl CmaArray {
         let mut acc = vec![0u64; words_for_bits(dim * 8)];
         for &row in rows {
             if let Some((words, _)) = self.row_view(row) {
-                saturating_accumulate_packed(&mut acc, words);
+                simd::saturating_accumulate_packed(&mut acc, words);
             }
         }
         let mut sum = vec![0i8; dim];

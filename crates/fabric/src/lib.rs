@@ -14,7 +14,9 @@
 //!   layers;
 //! * [`interconnect`] and [`controller`] — the RSC bus, IBC network and the counter-based
 //!   controller that orders mat outputs into groups matching the intra-bank adder fan-in;
-//! * [`cost`] — energy/latency accounting shared by every component.
+//! * [`cost`] — energy/latency accounting shared by every component;
+//! * [`simd`] — the workspace's one SIMD dispatch, the int8 pooling kernels and the TCAM
+//!   threshold scan.
 //!
 //! Functional behaviour and cost accounting are deliberately coupled: the same call that
 //! returns the pooled embedding also returns the energy and latency it consumed, so tests
@@ -35,6 +37,8 @@
 //! assert!(outcome.cost.energy_pj > 0.0);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod accumulator;
 pub mod bank;
 pub mod cma;
@@ -54,4 +58,3 @@ pub use config::FabricConfig;
 pub use cost::{Cost, CostBreakdown, CostComponent, Outcome};
 pub use crossbar::{CrossbarArray, CrossbarBank};
 pub use error::FabricError;
-pub use simd::SimdLevel;

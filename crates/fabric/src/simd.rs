@@ -1,26 +1,35 @@
-//! Runtime-dispatched kernels of the fabric: the SIMD widenings of the packed int8
-//! saturating add, and the TCAM threshold scan.
+//! The one SIMD layer of the workspace: the process's dispatch level, the int8 pooling
+//! kernels, and the TCAM threshold scan. `imars_recsys::simd` builds its f32 kernels on
+//! the same dispatch.
 //!
-//! The scalar SWAR kernel in [`crate::cma`] processes one 64-bit word (8 int8 lanes) per
-//! step. On x86-64 the same lane-wise saturating add exists as a single instruction over
-//! 16 bytes (`PADDSB`, SSE2) or 32 bytes (`VPADDSB`, AVX2), so this module widens the
-//! pooling inner loop to 2 or 4 packed words per step and falls back to the scalar SWAR
-//! kernel for the ragged tail.
+//! # Dispatch
 //!
-//! # Dispatch and the scalar-reference contract
+//! The level is picked once per process by [`active_level`]; nothing else in the
+//! workspace reads `IMARS_FORCE_SCALAR` or asks the CPU for its features:
 //!
-//! The implementation level is picked once per process by [`active_level`]:
+//! * `IMARS_FORCE_SCALAR` (any non-empty value other than `0`) forces
+//!   [`SimdLevel::Scalar`] — CI runs the kernel crates' tests a second time under it;
+//! * otherwise [`SimdLevel::Avx2`] when `is_x86_feature_detected!("avx2")` reports it;
+//! * otherwise [`SimdLevel::Sse2`], the x86-64 baseline;
+//! * non-x86-64 targets always run at [`SimdLevel::Scalar`].
 //!
-//! * `IMARS_FORCE_SCALAR` (any non-empty value other than `0`) forces the scalar path —
-//!   CI runs the whole test suite a second time under this override;
-//! * otherwise AVX2 is used when `is_x86_feature_detected!("avx2")` reports it;
-//! * otherwise SSE2, which is part of the x86-64 baseline;
-//! * non-x86-64 targets always take the scalar path.
+//! # Safe bodies, compiled twice
+//!
+//! Every kernel of the workspace but `imars_recsys::simd::dot_f32` is one
+//! `#[inline(always)]` safe body instantiated twice: plainly, for the target's baseline
+//! (SSE2 on x86-64, so the int8 adds already compile to `PADDSB`), and inside a
+//! `#[target_feature(enable = "avx2")]` function (`popcnt` for the scan, below), where
+//! the same loop runs 32 bytes per instruction. The dispatcher calls the AVX2 copy only
+//! at [`SimdLevel::Avx2`], which [`active_level`] reports only after detecting the
+//! feature; that call, under its `// SAFETY:` comment, is the only place a kernel enters
+//! a target feature. The int8 bodies walk 32-byte chunks with a plain tail: a plain
+//! zipped loop is unrolled by the compiler to 128 bytes, which leaves the serving tier's
+//! 32-byte rows to its scalar epilogue.
 //!
 //! Saturating int8 addition is a pure lane-wise operation — no carries, rounding, or
-//! reassociation cross a lane boundary — so every path is **bit-identical** to the scalar
-//! SWAR kernel by construction, and the `*_scalar` functions stay exported as the
-//! always-on reference that property tests pin each SIMD path against.
+//! reassociation cross a lane boundary — so both instantiations are **bit-identical** to
+//! the scalar references by construction, and the `*_scalar` functions stay exported as
+//! the always-on references that property tests pin each kernel against.
 //!
 //! # The TCAM threshold scan
 //!
@@ -63,36 +72,33 @@
 //! generic loop for other widths; holes, partly valid rows and queries shorter than a row
 //! take the row-at-a-time loop of the same kernel, which keeps their semantics.
 
+use std::ffi::OsStr;
 use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::cma::{hamming_distance, saturating_add_packed_i8, words_for_bits};
 
-/// Which kernel implementation the process dispatches to.
+/// Which instantiation of the kernels the process dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Portable SWAR / element-wise loops — the bit-identity reference.
+    /// Forced by `IMARS_FORCE_SCALAR`, or a target other than x86-64: every kernel runs
+    /// its baseline instantiation, and `imars_recsys::simd::dot_f32` its scalar reference.
     Scalar,
-    /// 16-byte lanes (`PADDSB`), always available on x86-64.
+    /// The x86-64 baseline: 16-byte vectors.
     Sse2,
-    /// 32-byte lanes (`VPADDSB`), detected at runtime.
+    /// 32-byte vectors, detected at runtime.
     Avx2,
 }
 
-impl SimdLevel {
-    /// Stable lowercase name, used in study JSON and bench metrics.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
-            SimdLevel::Avx2 => "avx2",
-        }
-    }
+/// The `IMARS_FORCE_SCALAR` rule, as a function of the variable's value: set to anything
+/// but the empty string or `0` forces [`SimdLevel::Scalar`].
+fn forces_scalar(value: Option<&OsStr>) -> bool {
+    value.is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 /// True when the `IMARS_FORCE_SCALAR` environment variable asks for the scalar path.
 pub fn force_scalar() -> bool {
-    std::env::var_os("IMARS_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0")
+    forces_scalar(std::env::var_os("IMARS_FORCE_SCALAR").as_deref())
 }
 
 fn detect_level() -> SimdLevel {
@@ -111,8 +117,9 @@ fn detect_level() -> SimdLevel {
     SimdLevel::Scalar
 }
 
-/// The implementation level every packed int8 kernel in this process dispatches to.
-/// Detected once and cached.
+/// The level every kernel in this process dispatches to. Detected once and cached;
+/// inlined, so a kernel's per-call check is a load, not a call into this crate.
+#[inline]
 pub fn active_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(detect_level)
@@ -128,18 +135,54 @@ pub fn saturating_accumulate_packed_scalar(acc: &mut [u64], row: &[u64]) {
     }
 }
 
-/// Dispatched widening of [`saturating_accumulate_packed_scalar`]: 32-byte lanes under
-/// AVX2, 16-byte lanes under SSE2, with the scalar SWAR kernel covering the tail words.
+/// The 32 int8 lanes of four packed words, in the packed format's byte order.
+#[inline(always)]
+fn packed_lanes(words: &[u64; 4]) -> [i8; 32] {
+    let mut lanes = [0i8; 32];
+    for (bytes, word) in lanes.as_chunks_mut::<8>().0.iter_mut().zip(words) {
+        *bytes = word.to_le_bytes().map(|byte| byte as i8);
+    }
+    lanes
+}
+
+/// The packed accumulate, written once: four words at a time as one array of 32 lanes,
+/// the last `len mod 4` words through the scalar SWAR kernel.
+#[inline(always)]
+fn accumulate_packed_body(acc: &mut [u64], row: &[u64]) {
+    let n = acc.len().min(row.len());
+    let (acc_blocks, acc_tail) = acc[..n].as_chunks_mut::<4>();
+    let (row_blocks, row_tail) = row[..n].as_chunks::<4>();
+    for (acc, row) in acc_blocks.iter_mut().zip(row_blocks) {
+        let mut lanes = packed_lanes(acc);
+        for (a, s) in lanes.iter_mut().zip(packed_lanes(row)) {
+            *a = a.saturating_add(s);
+        }
+        for (word, bytes) in acc.iter_mut().zip(lanes.as_chunks::<8>().0) {
+            *word = u64::from_le_bytes(bytes.map(|lane| lane as u8));
+        }
+    }
+    saturating_accumulate_packed_scalar(acc_tail, row_tail);
+}
+
+/// [`accumulate_packed_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn accumulate_packed_avx2(acc: &mut [u64], row: &[u64]) {
+    accumulate_packed_body(acc, row);
+}
+
+/// Dispatched [`saturating_accumulate_packed_scalar`]: 32 lanes per step (one `VPADDSB`
+/// under AVX2, two `PADDSB` on the baseline), the SWAR kernel for the tail words.
 /// Bit-identical to the scalar reference on every input.
 #[inline]
 pub fn saturating_accumulate_packed(acc: &mut [u64], row: &[u64]) {
-    match active_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { accumulate_packed_avx2(acc, row) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { accumulate_packed_sse2(acc, row) },
-        _ => saturating_accumulate_packed_scalar(acc, row),
+    #[cfg(target_arch = "x86_64")]
+    if active_level() == SimdLevel::Avx2 {
+        // SAFETY: `accumulate_packed_avx2` is safe code whose only requirement is the
+        // `avx2` target feature, which `active_level` reports only after detecting it.
+        return unsafe { accumulate_packed_avx2(acc, row) };
     }
+    accumulate_packed_body(acc, row);
 }
 
 /// Scalar reference: element-wise saturating int8 add over unpacked lanes, zipped to the
@@ -151,18 +194,40 @@ pub fn saturating_add_assign_i8_scalar(acc: &mut [i8], src: &[i8]) {
     }
 }
 
-/// Dispatched widening of [`saturating_add_assign_i8_scalar`] over unpacked int8 lanes —
-/// the kernel behind the serving tier's int8 pooling accumulate. Bit-identical to the
-/// scalar reference on every input.
+/// The unpacked int8 add, written once: 32-lane chunks, then the scalar reference for
+/// the tail.
+#[inline(always)]
+fn add_assign_i8_body(acc: &mut [i8], src: &[i8]) {
+    let n = acc.len().min(src.len());
+    let (acc_blocks, acc_tail) = acc[..n].as_chunks_mut::<32>();
+    let (src_blocks, src_tail) = src[..n].as_chunks::<32>();
+    for (acc, src) in acc_blocks.iter_mut().zip(src_blocks) {
+        for (a, &s) in acc.iter_mut().zip(src) {
+            *a = a.saturating_add(s);
+        }
+    }
+    saturating_add_assign_i8_scalar(acc_tail, src_tail);
+}
+
+/// [`add_assign_i8_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn add_assign_i8_avx2(acc: &mut [i8], src: &[i8]) {
+    add_assign_i8_body(acc, src);
+}
+
+/// Dispatched [`saturating_add_assign_i8_scalar`] over unpacked int8 lanes — the kernel
+/// behind the serving tier's int8 pooling accumulate. Bit-identical to the scalar
+/// reference on every input.
 #[inline]
 pub fn saturating_add_assign_i8(acc: &mut [i8], src: &[i8]) {
-    match active_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { add_assign_i8_avx2(acc, src) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { add_assign_i8_sse2(acc, src) },
-        _ => saturating_add_assign_i8_scalar(acc, src),
+    #[cfg(target_arch = "x86_64")]
+    if active_level() == SimdLevel::Avx2 {
+        // SAFETY: `add_assign_i8_avx2` is safe code whose only requirement is the `avx2`
+        // target feature, which `active_level` reports only after detecting it.
+        return unsafe { add_assign_i8_avx2(acc, src) };
     }
+    add_assign_i8_body(acc, src);
 }
 
 /// Marker in [`BitRows::valid_bits`] for a row inside the extent that was never written:
@@ -418,78 +483,6 @@ pub(crate) fn scan_distances(rows: &BitRows<'_>, query: &[u64]) -> Vec<(usize, u
     distances
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn accumulate_packed_sse2(acc: &mut [u64], row: &[u64]) {
-    use std::arch::x86_64::{__m128i, _mm_adds_epi8, _mm_loadu_si128, _mm_storeu_si128};
-    let n = acc.len().min(row.len());
-    let pairs = n / 2;
-    let acc_ptr = acc.as_mut_ptr();
-    let row_ptr = row.as_ptr();
-    for i in 0..pairs {
-        let a = _mm_loadu_si128(acc_ptr.add(i * 2) as *const __m128i);
-        let r = _mm_loadu_si128(row_ptr.add(i * 2) as *const __m128i);
-        _mm_storeu_si128(acc_ptr.add(i * 2) as *mut __m128i, _mm_adds_epi8(a, r));
-    }
-    for i in pairs * 2..n {
-        acc[i] = saturating_add_packed_i8(acc[i], row[i]);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn accumulate_packed_avx2(acc: &mut [u64], row: &[u64]) {
-    use std::arch::x86_64::{__m256i, _mm256_adds_epi8, _mm256_loadu_si256, _mm256_storeu_si256};
-    let n = acc.len().min(row.len());
-    let quads = n / 4;
-    let acc_ptr = acc.as_mut_ptr();
-    let row_ptr = row.as_ptr();
-    for i in 0..quads {
-        let a = _mm256_loadu_si256(acc_ptr.add(i * 4) as *const __m256i);
-        let r = _mm256_loadu_si256(row_ptr.add(i * 4) as *const __m256i);
-        _mm256_storeu_si256(acc_ptr.add(i * 4) as *mut __m256i, _mm256_adds_epi8(a, r));
-    }
-    for i in quads * 4..n {
-        acc[i] = saturating_add_packed_i8(acc[i], row[i]);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn add_assign_i8_sse2(acc: &mut [i8], src: &[i8]) {
-    use std::arch::x86_64::{__m128i, _mm_adds_epi8, _mm_loadu_si128, _mm_storeu_si128};
-    let n = acc.len().min(src.len());
-    let blocks = n / 16;
-    let acc_ptr = acc.as_mut_ptr();
-    let src_ptr = src.as_ptr();
-    for i in 0..blocks {
-        let a = _mm_loadu_si128(acc_ptr.add(i * 16) as *const __m128i);
-        let s = _mm_loadu_si128(src_ptr.add(i * 16) as *const __m128i);
-        _mm_storeu_si128(acc_ptr.add(i * 16) as *mut __m128i, _mm_adds_epi8(a, s));
-    }
-    for i in blocks * 16..n {
-        acc[i] = acc[i].saturating_add(src[i]);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn add_assign_i8_avx2(acc: &mut [i8], src: &[i8]) {
-    use std::arch::x86_64::{__m256i, _mm256_adds_epi8, _mm256_loadu_si256, _mm256_storeu_si256};
-    let n = acc.len().min(src.len());
-    let blocks = n / 32;
-    let acc_ptr = acc.as_mut_ptr();
-    let src_ptr = src.as_ptr();
-    for i in 0..blocks {
-        let a = _mm256_loadu_si256(acc_ptr.add(i * 32) as *const __m256i);
-        let s = _mm256_loadu_si256(src_ptr.add(i * 32) as *const __m256i);
-        _mm256_storeu_si256(acc_ptr.add(i * 32) as *mut __m256i, _mm256_adds_epi8(a, s));
-    }
-    for i in blocks * 32..n {
-        acc[i] = acc[i].saturating_add(src[i]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,7 +496,19 @@ mod tests {
     #[test]
     fn active_level_is_cached_and_consistent() {
         assert_eq!(active_level(), active_level());
-        assert!(!active_level().name().is_empty());
+        if force_scalar() {
+            assert_eq!(active_level(), SimdLevel::Scalar);
+        }
+    }
+
+    #[test]
+    fn force_scalar_rule_is_set_and_neither_empty_nor_zero() {
+        for dispatch in [None, Some(""), Some("0")] {
+            assert!(!forces_scalar(dispatch.map(OsStr::new)), "{dispatch:?}");
+        }
+        for forced in ["1", "yes"] {
+            assert!(forces_scalar(Some(OsStr::new(forced))), "{forced}");
+        }
     }
 
     #[test]
@@ -550,7 +555,9 @@ mod tests {
         let src: Vec<i8> = (0..256).map(|_| rng.gen_range(i8::MIN..=i8::MAX)).collect();
         // Misaligned starts exercise the unaligned loads; lengths sweep the tail loop.
         for offset in 0..8usize {
-            for dim in (1..=129).step_by(7).chain([129]) {
+            // Steps of 7, plus both sides of every chunk edge up to the serving width.
+            let edges = [15, 16, 17, 31, 32, 33, 63, 65, 129];
+            for dim in (1..=129).step_by(7).chain(edges) {
                 let mut simd_acc = base[offset..offset + dim].to_vec();
                 let mut scalar_acc = simd_acc.clone();
                 saturating_add_assign_i8(&mut simd_acc, &src[offset..offset + dim]);

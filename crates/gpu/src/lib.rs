@@ -17,6 +17,8 @@
 //! analytical model within a small tolerance of each, so the speedup/energy-ratio
 //! experiments in `imars-core` compare against a faithful baseline.
 
+#![forbid(unsafe_code)]
+
 pub mod kernels;
 pub mod model;
 pub mod reference;

@@ -14,8 +14,8 @@
 //!   zero-allocation batched gather/pool hot path;
 //! * [`arena`] — shared contiguous row storage ([`RowArena`]) so sharded serving aliases
 //!   one allocation per dtype instead of copying rows;
-//! * [`simd`] — runtime-dispatched SIMD f32 kernels (pooling accumulate, blocked dot)
-//!   pinned bit-identical to their scalar references;
+//! * [`simd`] — the f32 kernels (pooling accumulate, blocked dot) on the dispatch of
+//!   [`imars_fabric::simd`], pinned bit-identical to their scalar references;
 //! * [`batch`] — CSR pooling batches and the thread fan-out helpers of the offline
 //!   studies and of model construction;
 //! * [`mlp`] — fully connected networks with ReLU/sigmoid activations and backpropagation;
@@ -29,6 +29,8 @@
 //! * [`topk`], [`metrics`] — top-k selection and hit-rate evaluation;
 //! * [`training`] — sampled-softmax / logistic-loss training loops used by the accuracy
 //!   experiments.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod arena;
 pub mod batch;

@@ -23,15 +23,16 @@
 //! way. What changes is the shape of the work: 64 independent chains the compiler can
 //! run as vector lanes, where the dot product was one dependent chain per bit. The loop
 //! is plain safe code compiled twice — for the target's baseline, and for AVX2 behind
-//! [`crate::simd::active_level`] — and cannot differ between the two for the same reason.
+//! [`imars_fabric::simd::active_level`] — and cannot differ between the two for the same
+//! reason.
 
+use imars_fabric::simd::{active_level, SimdLevel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, StandardNormal};
 use serde::{Deserialize, Serialize};
 
 use crate::error::RecsysError;
-use crate::simd::{active_level, SimdLevel};
 use crate::topk::top_k_by_score;
 
 /// A random-hyperplane LSH hasher producing fixed-length bit signatures.

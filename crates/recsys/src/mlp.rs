@@ -43,15 +43,15 @@
 //! side by side) is vectorized lane-major by the compiler, behind a shuffle per multiply,
 //! and ran barely faster than one dot product per pair. The body is plain safe code
 //! compiled twice, for the target's baseline and for AVX2 behind
-//! [`crate::simd::active_level`], and cannot differ between the two for the reasons
-//! above.
+//! [`imars_fabric::simd::active_level`], and cannot differ between the two for the
+//! reasons above.
 
+use imars_fabric::simd::{active_level, SimdLevel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::RecsysError;
-use crate::simd::{active_level, SimdLevel};
 
 /// Activation applied to a layer's output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

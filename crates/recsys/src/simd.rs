@@ -1,103 +1,52 @@
-//! Runtime-dispatched SIMD implementations of the f32 hot kernels.
+//! The f32 hot kernels: the element-wise row accumulate behind every
+//! `pool_into`/`gather_pool_batch` call, and the blocked dot product behind every MLP
+//! forward pass, each pinned bit-identical to its scalar reference.
 //!
-//! Two kernels dominate serving-side CPU time: the element-wise row accumulate behind
-//! every `pool_into`/`gather_pool_batch` call, and the blocked dot product behind every
-//! MLP forward pass. This module gives both explicit SIMD paths behind runtime feature
-//! detection while keeping the portable scalar code as the always-on bit-identity
-//! reference.
-//!
-//! # Dispatch and the scalar-reference contract
-//!
-//! The implementation level is picked once per process by [`active_level`]:
-//!
-//! * `IMARS_FORCE_SCALAR` (any non-empty value other than `0`) forces the scalar path —
-//!   CI runs the whole test suite a second time under this override;
-//! * otherwise AVX2 when `is_x86_feature_detected!("avx2")` reports it, else SSE2 (part
-//!   of the x86-64 baseline); non-x86-64 targets always take the scalar path.
-//!
-//! Bit-identity is by construction, not by accident:
+//! Both dispatch on the workspace's one SIMD level, [`imars_fabric::simd::active_level`]
+//! (which is where `IMARS_FORCE_SCALAR` is read), and bit-identity is by construction:
 //!
 //! * [`add_assign_f32`] is a pure lane-wise `acc[i] += src[i]` — each output element sees
-//!   exactly one add per call in the same order at every vector width, so any width is
-//!   bit-identical to the scalar loop;
-//! * [`dot_f32`] must preserve the *shape* of the reduction, so the SIMD path keeps the
+//!   exactly one add per call — so it is one safe body compiled twice, for the target's
+//!   baseline and for AVX2, as the fabric's int8 kernels are, and every instantiation is
+//!   the scalar loop;
+//! * [`dot_f32`] must preserve the *shape* of the reduction, so its SSE2 body keeps the
 //!   scalar reference's exact four-accumulator blocking (`acc[i] += w[4b+i] * x[4b+i]`,
 //!   combined as `(acc0 + acc1) + (acc2 + acc3)`, scalar tail, no FMA) and merely
-//!   executes the four lanes as one SSE2 vector op. A wider (8-lane) blocking would
-//!   reassociate the sum and change the rounding, so AVX2 deliberately reuses the 4-lane
-//!   kernel for the dot.
+//!   executes the four lanes as one vector op. A wider (8-lane) blocking would
+//!   reassociate the sum and change the rounding, so AVX2 runs the same 4-lane body. It is
+//!   the workspace's one intrinsic body: the safe forms of the same blocking (the
+//!   reference loop, a loop over `[f32; 4]` chunks, a fold over `[f32; 4]`) ran 1.3–2.5×
+//!   slower than it at dims 16–256.
 
-use std::sync::OnceLock;
+use imars_fabric::simd::{active_level, SimdLevel};
 
-/// Which kernel implementation the process dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdLevel {
-    /// Portable scalar loops — the bit-identity reference.
-    Scalar,
-    /// 128-bit vectors, always available on x86-64.
-    Sse2,
-    /// 256-bit vectors, detected at runtime.
-    Avx2,
-}
-
-impl SimdLevel {
-    /// Stable lowercase name, used in study JSON and bench metrics.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
-            SimdLevel::Avx2 => "avx2",
-        }
-    }
-}
-
-/// True when the `IMARS_FORCE_SCALAR` environment variable asks for the scalar path.
-pub fn force_scalar() -> bool {
-    std::env::var_os("IMARS_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-fn detect_level() -> SimdLevel {
-    if force_scalar() {
-        return SimdLevel::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            SimdLevel::Avx2
-        } else {
-            SimdLevel::Sse2
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    SimdLevel::Scalar
-}
-
-/// The implementation level every f32 kernel in this process dispatches to. Detected
-/// once and cached.
-pub fn active_level() -> SimdLevel {
-    static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(detect_level)
-}
-
-/// Scalar reference: element-wise `acc[i] += src[i]`, zipped to the shorter slice.
-#[inline]
+/// Scalar reference: element-wise `acc[i] += src[i]`, zipped to the shorter slice. Also
+/// the body both instantiations of [`add_assign_f32`] compile.
+#[inline(always)]
 pub fn add_assign_f32_scalar(acc: &mut [f32], src: &[f32]) {
     for (a, &s) in acc.iter_mut().zip(src.iter()) {
         *a += s;
     }
 }
 
+/// [`add_assign_f32_scalar`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn add_assign_f32_avx2(acc: &mut [f32], src: &[f32]) {
+    add_assign_f32_scalar(acc, src);
+}
+
 /// Dispatched element-wise `acc[i] += src[i]` — the pooling accumulate. Bit-identical to
 /// [`add_assign_f32_scalar`] at every width because each element sees exactly one add.
 #[inline]
 pub fn add_assign_f32(acc: &mut [f32], src: &[f32]) {
-    match active_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { add_assign_f32_avx2(acc, src) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { add_assign_f32_sse2(acc, src) },
-        _ => add_assign_f32_scalar(acc, src),
+    #[cfg(target_arch = "x86_64")]
+    if active_level() == SimdLevel::Avx2 {
+        // SAFETY: `add_assign_f32_avx2` is safe code whose only requirement is the `avx2`
+        // target feature, which `active_level` reports only after detecting it.
+        return unsafe { add_assign_f32_avx2(acc, src) };
     }
+    add_assign_f32_scalar(acc, src);
 }
 
 /// Scalar reference: dot product blocked over four independent accumulator lanes
@@ -124,74 +73,40 @@ pub fn dot_f32_scalar(w: &[f32], x: &[f32]) -> f32 {
     sum
 }
 
-/// Dispatched blocked dot product. The SSE2 path executes the reference's four
+/// Dispatched blocked dot product. The SSE2 body executes the reference's four
 /// accumulator lanes as one 128-bit vector (separate multiply and add — no FMA — then
 /// the same `(acc0 + acc1) + (acc2 + acc3)` scalar combine and tail), so it is
-/// bit-identical to [`dot_f32_scalar`]. AVX2 reuses the 4-lane kernel: widening the
+/// bit-identical to [`dot_f32_scalar`]. AVX2 reuses the 4-lane body: widening the
 /// blocking would reassociate the reduction.
 #[inline]
 pub fn dot_f32(w: &[f32], x: &[f32]) -> f32 {
-    match active_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 | SimdLevel::Avx2 => unsafe { dot_f32_sse2(w, x) },
-        _ => dot_f32_scalar(w, x),
+    #[cfg(target_arch = "x86_64")]
+    if active_level() != SimdLevel::Scalar {
+        return dot_f32_sse2(w, x);
     }
+    dot_f32_scalar(w, x)
 }
 
+/// The four-lane dot as SSE2 vectors: separate multiply and add (no FMA), so lane `i`
+/// accumulates exactly the scalar reference's `acc[i]` sequence.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn add_assign_f32_sse2(acc: &mut [f32], src: &[f32]) {
-    use std::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_storeu_ps};
-    let n = acc.len().min(src.len());
-    let blocks = n / 4;
-    let acc_ptr = acc.as_mut_ptr();
-    let src_ptr = src.as_ptr();
-    for i in 0..blocks {
-        let a = _mm_loadu_ps(acc_ptr.add(i * 4));
-        let s = _mm_loadu_ps(src_ptr.add(i * 4));
-        _mm_storeu_ps(acc_ptr.add(i * 4), _mm_add_ps(a, s));
-    }
-    for i in blocks * 4..n {
-        acc[i] += src[i];
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn add_assign_f32_avx2(acc: &mut [f32], src: &[f32]) {
-    use std::arch::x86_64::{_mm256_add_ps, _mm256_loadu_ps, _mm256_storeu_ps};
-    let n = acc.len().min(src.len());
-    let blocks = n / 8;
-    let acc_ptr = acc.as_mut_ptr();
-    let src_ptr = src.as_ptr();
-    for i in 0..blocks {
-        let a = _mm256_loadu_ps(acc_ptr.add(i * 8));
-        let s = _mm256_loadu_ps(src_ptr.add(i * 8));
-        _mm256_storeu_ps(acc_ptr.add(i * 8), _mm256_add_ps(a, s));
-    }
-    for i in blocks * 8..n {
-        acc[i] += src[i];
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn dot_f32_sse2(w: &[f32], x: &[f32]) -> f32 {
+fn dot_f32_sse2(w: &[f32], x: &[f32]) -> f32 {
     use std::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_setzero_ps, _mm_storeu_ps};
     let n = w.len().min(x.len());
     let blocks = n / 4;
-    let w_ptr = w.as_ptr();
-    let x_ptr = x.as_ptr();
-    let mut acc_v = _mm_setzero_ps();
-    for b in 0..blocks {
-        let wv = _mm_loadu_ps(w_ptr.add(b * 4));
-        let xv = _mm_loadu_ps(x_ptr.add(b * 4));
-        // Separate mul + add (no FMA): lane i accumulates exactly the scalar
-        // reference's acc[i] sequence.
-        acc_v = _mm_add_ps(acc_v, _mm_mul_ps(wv, xv));
-    }
     let mut acc = [0.0f32; 4];
-    _mm_storeu_ps(acc.as_mut_ptr(), acc_v);
+    // SAFETY: SSE2 is part of the x86-64 baseline, so every intrinsic's target feature is
+    // present. Block `b < n / 4` loads the 4 floats at `4b..4b + 4 <= n`, in bounds of
+    // both `w` and `x`; the one 4-float store writes `acc`, a `[f32; 4]`.
+    unsafe {
+        let mut lanes = _mm_setzero_ps();
+        for b in 0..blocks {
+            let wv = _mm_loadu_ps(w.as_ptr().add(b * 4));
+            let xv = _mm_loadu_ps(x.as_ptr().add(b * 4));
+            lanes = _mm_add_ps(lanes, _mm_mul_ps(wv, xv));
+        }
+        _mm_storeu_ps(acc.as_mut_ptr(), lanes);
+    }
     let mut sum = (acc[0] + acc[1]) + (acc[2] + acc[3]);
     for i in blocks * 4..n {
         sum += w[i] * x[i];
@@ -207,12 +122,6 @@ mod tests {
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn active_level_is_cached_and_consistent() {
-        assert_eq!(active_level(), active_level());
-        assert!(!active_level().name().is_empty());
     }
 
     #[test]

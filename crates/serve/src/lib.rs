@@ -55,6 +55,7 @@
 //!   and a Prometheus-style text exposition with histogram exemplars linking
 //!   tail buckets to retained traces.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batcher;

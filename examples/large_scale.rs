@@ -25,9 +25,10 @@ fn main() {
     } else {
         LargeScaleConfig::paper()
     };
-    let simd = match std::env::var_os("IMARS_FORCE_SCALAR") {
-        Some(v) if !v.is_empty() && v != "0" => "scalar (forced)",
-        _ => "runtime-dispatched",
+    let simd = if imars::fabric::simd::force_scalar() {
+        "scalar (forced)"
+    } else {
+        "runtime-dispatched"
     };
     println!(
         "== large_scale ({}) — pooling kernels: {simd} ==",

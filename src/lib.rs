@@ -12,6 +12,8 @@
 //! * [`gpu`] — the calibrated GPU baseline cost models;
 //! * [`core`] — system assembly: ET-to-fabric mapping and paper workloads.
 
+#![forbid(unsafe_code)]
+
 pub use imars_core as core;
 pub use imars_datasets as datasets;
 pub use imars_device as device;
