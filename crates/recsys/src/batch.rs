@@ -81,15 +81,26 @@ impl PoolingBatch {
 
     /// Build a batch from one index list per request.
     pub fn from_requests<R: AsRef<[u32]>>(requests: &[R]) -> Self {
-        let mut offsets = Vec::with_capacity(requests.len() + 1);
-        offsets.push(0usize);
         let total: usize = requests.iter().map(|r| r.as_ref().len()).sum();
-        let mut indices = Vec::with_capacity(total);
+        let mut batch = Self {
+            indices: Vec::with_capacity(total),
+            offsets: Vec::with_capacity(requests.len() + 1),
+        };
+        batch.refill(requests);
+        batch
+    }
+
+    /// Make this batch hold `requests` instead, one index list per request, in its own
+    /// buffers: a refill with no more requests and lookups than the batch has held
+    /// before allocates nothing.
+    pub fn refill<R: AsRef<[u32]>>(&mut self, requests: impl IntoIterator<Item = R>) {
+        self.indices.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
         for request in requests {
-            indices.extend_from_slice(request.as_ref());
-            offsets.push(indices.len());
+            self.indices.extend_from_slice(request.as_ref());
+            self.offsets.push(self.indices.len());
         }
-        Self { indices, offsets }
     }
 
     /// Number of requests in the batch.
@@ -127,6 +138,13 @@ impl PoolingBatch {
     /// The largest index referenced by any request (`None` for an all-empty batch).
     pub fn max_index(&self) -> Option<u32> {
         self.indices.iter().copied().max()
+    }
+}
+
+impl Default for PoolingBatch {
+    /// The batch of no requests.
+    fn default() -> Self {
+        Self::from_requests::<&[u32]>(&[])
     }
 }
 
@@ -300,6 +318,26 @@ mod tests {
             PoolingBatch::from_requests::<Vec<u32>>(&[]).max_index(),
             None
         );
+    }
+
+    #[test]
+    fn refill_matches_from_requests_in_the_same_buffers() {
+        let large = [vec![1u32, 2, 3, 4], vec![5], vec![6, 7]];
+        let small = [vec![9u32], vec![], vec![8, 7]];
+        let mut batch = PoolingBatch::default();
+        assert!(batch.is_empty());
+        batch.refill(&large);
+        assert_eq!(batch, PoolingBatch::from_requests(&large));
+        let (indices, offsets) = (batch.indices().as_ptr(), batch.offsets().as_ptr());
+        batch.refill(large.iter().rev().chain(&small).map(Vec::as_slice).take(3));
+        assert_eq!(
+            batch,
+            PoolingBatch::from_requests(&[&[6u32, 7][..], &[5], &[1, 2, 3, 4]])
+        );
+        batch.refill(&small);
+        assert_eq!(batch, PoolingBatch::from_requests(&small));
+        assert_eq!(batch.indices().as_ptr(), indices, "no reallocation");
+        assert_eq!(batch.offsets().as_ptr(), offsets, "no reallocation");
     }
 
     #[test]

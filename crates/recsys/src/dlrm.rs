@@ -139,6 +139,27 @@ pub struct DlrmSample {
     pub sparse: Vec<usize>,
 }
 
+impl DlrmSample {
+    /// This sample as the borrowed view [`Dlrm::predict_batch_into`] reads.
+    pub fn view(&self) -> DlrmSampleView<'_> {
+        DlrmSampleView {
+            dense: &self.dense,
+            sparse: &self.sparse,
+        }
+    }
+}
+
+/// One sample's features, borrowed from wherever the caller keeps them: a
+/// [`DlrmSample`] (see [`DlrmSample::view`]), or a serving batch's flat profile buffer
+/// and its requests' categorical ids.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DlrmSampleView<'a> {
+    /// Normalized dense feature values.
+    pub dense: &'a [f32],
+    /// One categorical index per sparse field.
+    pub sparse: &'a [usize],
+}
+
 /// The DLRM model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dlrm {
@@ -272,7 +293,7 @@ impl Dlrm {
         self.embedding_tables.len()
     }
 
-    fn validate_sample(&self, sample: &DlrmSample) -> Result<(), RecsysError> {
+    fn validate_sample(&self, sample: DlrmSampleView<'_>) -> Result<(), RecsysError> {
         if sample.dense.len() != self.config.num_dense_features {
             return Err(RecsysError::ShapeMismatch {
                 what: "dense features",
@@ -293,7 +314,7 @@ impl Dlrm {
     /// Gather the per-field embedding vectors plus the dense embedding, and their pairwise
     /// interactions.
     fn forward_features(&self, sample: &DlrmSample) -> Result<ForwardFeatures, RecsysError> {
-        self.validate_sample(sample)?;
+        self.validate_sample(sample.view())?;
         let dense_embedding = self.bottom_mlp.forward(&sample.dense)?;
         let mut vectors: Vec<Vec<f32>> = Vec::with_capacity(self.embedding_tables.len() + 1);
         vectors.push(dense_embedding.clone());
@@ -337,14 +358,14 @@ impl Dlrm {
     #[inline]
     fn feature_vector<'a>(
         &'a self,
-        sample: &DlrmSample,
+        sparse: &[usize],
         dense_embedding: &'a [f32],
         i: usize,
     ) -> &'a [f32] {
         if i == 0 {
             dense_embedding
         } else {
-            self.embedding_tables[i - 1].row(sample.sparse[i - 1])
+            self.embedding_tables[i - 1].row(sparse[i - 1])
         }
     }
 
@@ -353,14 +374,19 @@ impl Dlrm {
     /// as a batched GEMM over the block's sample dimension, so every weight is streamed
     /// once per block instead of once per sample. Arithmetic is identical per sample to
     /// [`Dlrm::predict`], so results match bit-for-bit.
-    fn predict_block(&self, samples: &[DlrmSample], scratch: &mut DlrmScratch, out: &mut [f32]) {
-        let count = samples.len();
+    fn predict_block<'a>(
+        &self,
+        samples: impl Iterator<Item = DlrmSampleView<'a>> + Clone,
+        scratch: &mut DlrmScratch,
+        out: &mut [f32],
+    ) {
+        let count = out.len();
         let dim = self.config.embedding_dim;
         let dense_width = self.config.num_dense_features;
         let top_width = self.config.top_input_width();
-        for (s, sample) in samples.iter().enumerate() {
+        for (s, sample) in samples.clone().enumerate() {
             scratch.bottom_input[s * dense_width..(s + 1) * dense_width]
-                .copy_from_slice(&sample.dense);
+                .copy_from_slice(sample.dense);
         }
         let dense = self
             .bottom_mlp
@@ -370,15 +396,15 @@ impl Dlrm {
             )
             .expect("samples validated and scratch fitted before scoring");
         let vectors = self.embedding_tables.len() + 1;
-        for (s, sample) in samples.iter().enumerate() {
+        for (s, sample) in samples.enumerate() {
             let dense_embedding = &dense[s * dim..(s + 1) * dim];
             let top_row = &mut scratch.top_input[s * top_width..(s + 1) * top_width];
             top_row[..dim].copy_from_slice(dense_embedding);
             let mut offset = dim;
             for i in 0..vectors {
-                let vi = self.feature_vector(sample, dense_embedding, i);
+                let vi = self.feature_vector(sample.sparse, dense_embedding, i);
                 for j in (i + 1)..vectors {
-                    let vj = self.feature_vector(sample, dense_embedding, j);
+                    let vj = self.feature_vector(sample.sparse, dense_embedding, j);
                     top_row[offset] = dot(vi, vj);
                     offset += 1;
                 }
@@ -393,8 +419,10 @@ impl Dlrm {
 
     /// Batched forward pass into `out`, one predicted click-through rate per sample, on
     /// the calling thread and without allocating once `scratch` has grown to the batch:
-    /// embedding rows are read in place, and both MLPs run as GEMMs over blocks of up to
-    /// 64 samples that stream each weight once per block.
+    /// the samples are borrowed views (the serve engine's come straight from its
+    /// profile buffer and its requests), embedding rows are read in place, and both
+    /// MLPs run as GEMMs over blocks of up to 64 samples that stream each weight once
+    /// per block.
     ///
     /// Per sample the result is bit-identical to [`Dlrm::predict`].
     ///
@@ -404,12 +432,17 @@ impl Dlrm {
     /// sample, and an error if any sample's shape is wrong or any categorical index is
     /// out of range. Everything is validated before any inference work; `out` is
     /// untouched on error.
-    pub fn predict_batch_into(
+    pub fn predict_batch_into<'a, I>(
         &self,
-        samples: &[DlrmSample],
+        samples: I,
         scratch: &mut DlrmScratch,
         out: &mut [f32],
-    ) -> Result<(), RecsysError> {
+    ) -> Result<(), RecsysError>
+    where
+        I: IntoIterator<Item = DlrmSampleView<'a>>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let samples = samples.into_iter();
         if out.len() != samples.len() {
             return Err(RecsysError::ShapeMismatch {
                 what: "dlrm scores",
@@ -417,27 +450,33 @@ impl Dlrm {
                 actual: out.len(),
             });
         }
-        for sample in samples {
+        for sample in samples.clone() {
             self.validate_sample(sample)?;
-            for (table, index) in self.embedding_tables.iter().zip(sample.sparse.iter()) {
+            for (table, index) in self.embedding_tables.iter().zip(sample.sparse) {
                 table.check_indices(std::slice::from_ref(index))?;
             }
         }
         scratch.fit(self, samples.len().min(MLP_BLOCK));
-        for (block, out) in samples.chunks(MLP_BLOCK).zip(out.chunks_mut(MLP_BLOCK)) {
+        for (start, out) in (0..).step_by(MLP_BLOCK).zip(out.chunks_mut(MLP_BLOCK)) {
+            let block = samples.clone().skip(start).take(out.len());
             self.predict_block(block, scratch, out);
         }
         Ok(())
     }
 
-    /// [`Dlrm::predict_batch_into`] with a fresh scratch and output vector.
+    /// [`Dlrm::predict_batch_into`] over owned samples, with a fresh scratch and output
+    /// vector.
     ///
     /// # Errors
     ///
     /// As for [`Dlrm::predict_batch_into`].
     pub fn predict_batch(&self, samples: &[DlrmSample]) -> Result<Vec<f32>, RecsysError> {
         let mut out = vec![0.0f32; samples.len()];
-        self.predict_batch_into(samples, &mut self.scratch(), &mut out)?;
+        self.predict_batch_into(
+            samples.iter().map(DlrmSample::view),
+            &mut self.scratch(),
+            &mut out,
+        )?;
         Ok(out)
     }
 
@@ -731,7 +770,11 @@ mod tests {
             let samples = random_samples(model.config(), count, &mut rng);
             let mut scores = vec![f32::NAN; count];
             model
-                .predict_batch_into(&samples, &mut scratch, &mut scores)
+                .predict_batch_into(
+                    samples.iter().map(DlrmSample::view),
+                    &mut scratch,
+                    &mut scores,
+                )
                 .unwrap();
             for (sample, &score) in samples.iter().zip(&scores) {
                 assert_eq!(score.to_bits(), model.predict(sample).unwrap().to_bits());
@@ -747,7 +790,9 @@ mod tests {
         let mut scratch = small.scratch();
         small
             .predict_batch_into(
-                &random_samples(small.config(), 5, &mut rng),
+                random_samples(small.config(), 5, &mut rng)
+                    .iter()
+                    .map(DlrmSample::view),
                 &mut scratch,
                 &mut [0.0; 5],
             )
@@ -755,7 +800,11 @@ mod tests {
         let samples = random_samples(model.config(), 9, &mut rng);
         let mut scores = vec![0.0f32; 9];
         model
-            .predict_batch_into(&samples, &mut scratch, &mut scores)
+            .predict_batch_into(
+                samples.iter().map(DlrmSample::view),
+                &mut scratch,
+                &mut scores,
+            )
             .unwrap();
         for (sample, &score) in samples.iter().zip(&scores) {
             assert_eq!(score.to_bits(), model.predict(sample).unwrap().to_bits());
@@ -770,7 +819,11 @@ mod tests {
         for len in [0, 1, 3] {
             let mut scores = vec![7.0f32; len];
             assert!(matches!(
-                model.predict_batch_into(&samples, &mut scratch, &mut scores),
+                model.predict_batch_into(
+                    samples.iter().map(DlrmSample::view),
+                    &mut scratch,
+                    &mut scores
+                ),
                 Err(RecsysError::ShapeMismatch { .. })
             ));
             assert!(scores.iter().all(|&score| score == 7.0));

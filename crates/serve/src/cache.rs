@@ -39,7 +39,8 @@
 //! assert_eq!(cache.stats().misses, 1);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -227,12 +228,43 @@ const SKETCH_SEEDS: [u64; 4] = [
     0xd6e8_feb8_6659_fd93,
 ];
 
+/// The crate's one row-id hash: the splitmix64 finalizer over `row + seed`. The sketch
+/// seeds it once per hash function; [`RowHasher`] keys every row-id map with it.
 fn mix(row: u32, seed: u64) -> u64 {
     let mut x = (row as u64).wrapping_add(seed);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
 }
+
+/// Hashes a `u32` row id with [`mix`]: two multiply-xorshift rounds instead of
+/// SipHash's. Nothing iterates a row-id map, so the fixed seed cannot order any
+/// output, and the serving path's keys are catalogue rows, not attacker-chosen.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = mix(u32::from(byte), self.0);
+        }
+    }
+
+    fn write_u32(&mut self, row: u32) {
+        self.0 = mix(row, self.0);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by row id through [`RowHasher`] — the only way the crate keys a map or
+/// set by `u32` outside its tests (a CI step rejects any other).
+pub(crate) type RowMap<V> = HashMap<u32, V, BuildHasherDefault<RowHasher>>;
+
+/// A set of row ids through [`RowHasher`].
+pub(crate) type RowSet = HashSet<u32, BuildHasherDefault<RowHasher>>;
 
 impl FrequencySketch {
     fn new(capacity: usize) -> Self {
@@ -325,7 +357,7 @@ pub struct HotRowCache<T> {
     /// Row data, `capacity × dim`, slot-major.
     data: Vec<T>,
     /// Row id → slot index.
-    index: HashMap<u32, usize>,
+    index: RowMap<usize>,
     /// CLOCK hand: next slot to consider for eviction.
     hand: usize,
     /// TinyLFU admission sketch (absent for the other policies).
@@ -350,7 +382,7 @@ impl<T: Copy + Default> HotRowCache<T> {
             referenced: Vec::with_capacity(capacity),
             freq: Vec::with_capacity(capacity),
             data: vec![T::default(); capacity * dim],
-            index: HashMap::with_capacity(capacity),
+            index: RowMap::with_capacity_and_hasher(capacity, Default::default()),
             hand: 0,
             sketch: (policy == CachePolicy::TinyLfu && capacity > 0)
                 .then(|| FrequencySketch::new(capacity)),
@@ -430,6 +462,14 @@ impl<T: Copy + Default> HotRowCache<T> {
     /// counter) and return its data; on a miss return `None`. Both outcomes are counted,
     /// and under TinyLFU both are recorded in the admission sketch.
     pub fn lookup(&mut self, row: u32) -> Option<&[T]> {
+        let slot = self.lookup_slot(row)?;
+        Some(&self.data[slot * self.dim..(slot + 1) * self.dim])
+    }
+
+    /// [`HotRowCache::lookup`] that answers with the hit's slot instead of its data:
+    /// the row is `dim` elements at `slot * dim` of [`HotRowCache::slots`] until the
+    /// next insert.
+    pub(crate) fn lookup_slot(&mut self, row: u32) -> Option<usize> {
         if let Some(sketch) = &mut self.sketch {
             sketch.record(row);
         }
@@ -440,13 +480,20 @@ impl<T: Copy + Default> HotRowCache<T> {
                     CachePolicy::Clock | CachePolicy::TinyLfu => self.referenced[slot] = true,
                     CachePolicy::Lfu => self.freq[slot] += 1,
                 }
-                Some(&self.data[slot * self.dim..(slot + 1) * self.dim])
+                Some(slot)
             }
             None => {
                 self.stats.misses += 1;
                 None
             }
         }
+    }
+
+    /// Every slot's row data, slot-major (`capacity × dim`). An insert may overwrite
+    /// any slot, so a slot read here is only the row [`HotRowCache::lookup_slot`]
+    /// named while no insert has happened since.
+    pub(crate) fn slots(&self) -> &[T] {
+        &self.data
     }
 
     /// Insert a row, evicting per the policy if the cache is full. Re-inserting a

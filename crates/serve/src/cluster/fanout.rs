@@ -131,14 +131,14 @@ impl<T: Lane> ClusterClient<T> {
     /// response is bit-identical to the healthy run.
     pub(super) fn fetch_rows_resilient(
         &mut self,
-        work: Vec<(u32, &mut [T])>,
+        rows: &[u32],
+        out: &mut [T],
     ) -> Result<(), ServeError> {
         let resilience = self.resilience.unwrap_or_default();
         // Stragglers cannot be confused with this fetch (attempt tags are unique), but
         // drain them so the bounded reply queue starts with maximal slack.
         while let Pop::Item(_) = self.reply.pop_timeout(Duration::ZERO) {}
-        let rows: Vec<u32> = work.iter().map(|(row, _)| *row).collect();
-        let split = self.plan.split(&rows);
+        let split = self.plan.split(rows);
         self.counters.fetches.fetch_add(1, Ordering::Relaxed);
         let units: Vec<FetchUnit> = split
             .per_shard
@@ -158,7 +158,7 @@ impl<T: Lane> ClusterClient<T> {
         let mut fetch = FetchState {
             tags: HashMap::with_capacity(units.len()),
             units,
-            chunks: work.into_iter().map(|(_, chunk)| Some(chunk)).collect(),
+            chunks: out.chunks_exact_mut(self.dim).map(Some).collect(),
             fanout_cost: None,
             home: split.home,
             // A wedged shard queue may stall a dispatch, but never past the request
@@ -618,12 +618,7 @@ mod tests {
         let (mut client, handle) = spawn_cluster_with(&arena, plan, &config, options).unwrap();
         let fetcher = std::thread::spawn(move || {
             let mut out = vec![T::default(); wanted.len() * ITEM_DIM];
-            let work: Vec<(u32, &mut [T])> = wanted
-                .iter()
-                .copied()
-                .zip(out.chunks_mut(ITEM_DIM))
-                .collect();
-            client.fetch_rows(work).unwrap();
+            client.fetch_rows(&wanted, &mut out).unwrap();
             assert!(client.take_missing_rows().is_empty(), "nothing degrades");
             out
         });
@@ -969,12 +964,7 @@ mod tests {
         .unwrap();
         let fetcher = std::thread::spawn(move || {
             let mut out = vec![0.0f32; wanted.len() * ITEM_DIM];
-            let work: Vec<(u32, &mut [f32])> = wanted
-                .iter()
-                .copied()
-                .zip(out.chunks_mut(ITEM_DIM))
-                .collect();
-            client.fetch_rows(work).unwrap();
+            client.fetch_rows(&wanted, &mut out).unwrap();
             let missing = client.take_missing_rows();
             for (&row, chunk) in wanted.iter().zip(out.chunks(ITEM_DIM)) {
                 if !missing.contains(&row) {

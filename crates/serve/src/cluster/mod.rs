@@ -1037,8 +1037,7 @@ mod tests {
         assert_eq!(arena.resident_bytes(), resident);
         // The shared storage actually serves.
         let mut out = vec![0.0f32; ITEM_DIM];
-        let work: Vec<(u32, &mut [f32])> = vec![(300, &mut out)];
-        client.fetch_rows(work).unwrap();
+        client.fetch_rows(&[300], &mut out).unwrap();
         assert_eq!(out, table.lookup(300).unwrap());
         handle.shutdown().unwrap();
         // Joining the nodes dropped their handles; the catalogue is ours alone again.

@@ -370,19 +370,20 @@ pub(super) fn scatter<T: Lane>(
 }
 
 impl<T: Lane> RowSource<T> for ClusterClient<T> {
-    fn fetch_rows(&mut self, work: Vec<(u32, &mut [T])>) -> Result<(), ServeError> {
-        if work.is_empty() {
+    fn fetch_rows(&mut self, rows: &[u32], out: &mut [T]) -> Result<(), ServeError> {
+        if rows.is_empty() {
             return Ok(());
         }
+        debug_assert_eq!(out.len(), rows.len() * self.dim);
         let resilient = self.resilience.is_some()
             || self
                 .links
                 .iter()
                 .any(|link| matches!(link, ShardLink::Socket(_)));
         if resilient {
-            self.fetch_rows_resilient(work)
+            self.fetch_rows_resilient(rows, out)
         } else {
-            self.fetch_rows_strict(work)
+            self.fetch_rows_strict(rows, out)
         }
     }
 
@@ -398,7 +399,9 @@ impl<T: Lane> RowSource<T> for ClusterClient<T> {
         // Nothing probes on the cache-off path, so every lookup joins the flight table:
         // the routed traffic (and its bus charge) counts each unique row once per
         // batch and cache-off interconnect numbers stay comparable to cache-on ones.
-        Flight::fetch(self, batch, |_, _| false, None)?.pool(batch.offsets(), out);
+        let mut flight = Flight::default();
+        flight.fetch(self, batch.indices(), |_| None, None)?;
+        flight.pool(batch.offsets(), &[], out);
         Ok(())
     }
 
@@ -487,17 +490,15 @@ impl<T: Lane> ClusterClient<T> {
     /// The strict fan-out/gather: any shard failure is the fetch's failure
     /// ([`ServeError::ShardFailed`]). This path is the deterministic bit-identity
     /// oracle the resilient path is tested against.
-    fn fetch_rows_strict(&mut self, work: Vec<(u32, &mut [T])>) -> Result<(), ServeError> {
+    fn fetch_rows_strict(&mut self, rows: &[u32], out: &mut [T]) -> Result<(), ServeError> {
         // Discard stragglers a previously aborted fetch left behind, so leftovers can
         // never accumulate across fetches: at most one aborted fetch's responses
         // (< num_shards) coexist with the current fetch's (≤ num_shards), which the
         // 4×num_shards reply capacity absorbs — shard workers never block on a full
         // reply queue.
         while let Pop::Item(_) = self.reply.pop_timeout(Duration::ZERO) {}
-        let rows: Vec<u32> = work.iter().map(|(row, _)| *row).collect();
-        let split = self.plan.split(&rows);
-        let mut chunks: Vec<Option<&mut [T]>> =
-            work.into_iter().map(|(_, chunk)| Some(chunk)).collect();
+        let split = self.plan.split(rows);
+        let mut chunks: Vec<Option<&mut [T]>> = out.chunks_exact_mut(self.dim).map(Some).collect();
         let tag = self.next_tag;
         self.next_tag += 1;
         self.counters.fetches.fetch_add(1, Ordering::Relaxed);
@@ -616,12 +617,7 @@ mod tests {
         let (mut client, handle) = spawn_cluster(&arena, plan, &cluster_config(4, 2)).unwrap();
         let wanted: Vec<u32> = vec![0, 511, 17, 17, 300, 42, 128, 200];
         let mut out = vec![0.0f32; wanted.len() * ITEM_DIM];
-        let work: Vec<(u32, &mut [f32])> = wanted
-            .iter()
-            .copied()
-            .zip(out.chunks_mut(ITEM_DIM))
-            .collect();
-        client.fetch_rows(work).unwrap();
+        client.fetch_rows(&wanted, &mut out).unwrap();
         for (&row, chunk) in wanted.iter().zip(out.chunks(ITEM_DIM)) {
             assert_eq!(chunk, table.lookup(row as usize).unwrap(), "row {row}");
         }
@@ -641,13 +637,8 @@ mod tests {
         let rows_wanted: Vec<u32> = vec![1, 200, 400];
         let mut out = vec![0.0f32; rows_wanted.len() * ITEM_DIM];
         let started = Instant::now();
-        let work: Vec<(u32, &mut [f32])> = rows_wanted
-            .iter()
-            .copied()
-            .zip(out.chunks_mut(ITEM_DIM))
-            .collect();
         let error = client
-            .fetch_rows(work)
+            .fetch_rows(&rows_wanted, &mut out)
             .expect_err("poisoned fetch must fail");
         assert!(matches!(error, ServeError::ShardFailed { .. }), "{error}");
         assert!(
@@ -658,15 +649,13 @@ mod tests {
         // time — repeated retries must neither hang nor wedge the healthy shards.
         for _ in 0..5 {
             let mut out2 = vec![0.0f32; ITEM_DIM];
-            let work2: Vec<(u32, &mut [f32])> = vec![(1, &mut out2)];
-            assert!(client.fetch_rows(work2).is_err());
+            assert!(client.fetch_rows(&[1], &mut out2).is_err());
         }
         // Shard 2 was never poisoned (the fetch touched 0, 1 and 3): an independent
         // router can still serve rows that live there.
         let mut survivor = client.clone();
         let mut out3 = vec![0.0f32; ITEM_DIM];
-        let work3: Vec<(u32, &mut [f32])> = vec![(300, &mut out3)];
-        survivor.fetch_rows(work3).unwrap();
+        survivor.fetch_rows(&[300], &mut out3).unwrap();
         assert_eq!(out3, table.lookup(300).unwrap());
         // Shutdown reports the panic instead of hanging.
         let error = handle.shutdown().expect_err("shutdown surfaces the panic");
@@ -747,8 +736,7 @@ mod tests {
             let mut client = client.clone();
             move || {
                 let mut out = vec![0.0f32; ITEM_DIM];
-                let work: Vec<(u32, &mut [f32])> = vec![(2, &mut out)];
-                client.fetch_rows(work).map(|()| out)
+                client.fetch_rows(&[2], &mut out).map(|()| out)
             }
         });
         // Wait for the deterministic rejection, then play the worker by hand.
@@ -799,8 +787,7 @@ mod tests {
                     for round in 0..50u32 {
                         let row = (i as u32 * 97 + round * 13) % NUM_ITEMS as u32;
                         let mut out = vec![0.0f32; ITEM_DIM];
-                        let work: Vec<(u32, &mut [f32])> = vec![(row, &mut out)];
-                        clone.fetch_rows(work).unwrap();
+                        clone.fetch_rows(&[row], &mut out).unwrap();
                         assert_eq!(out, table.lookup(row as usize).unwrap());
                     }
                 });

@@ -30,7 +30,7 @@ use imars_fabric::cma::CmaArray;
 use imars_fabric::cost::{Cost, CostComponent};
 use imars_recsys::arena::RowArena;
 use imars_recsys::batch::{par_map, PoolingBatch};
-use imars_recsys::dlrm::{Dlrm, DlrmSample, DlrmScratch};
+use imars_recsys::dlrm::{Dlrm, DlrmSampleView, DlrmScratch};
 use imars_recsys::embedding::EmbeddingTable;
 use imars_recsys::lsh::RandomHyperplaneLsh;
 use imars_recsys::quantization::{QuantizationParams, QuantizedTable};
@@ -39,7 +39,7 @@ use serde::{Deserialize, Serialize};
 use imars_datasets::workload::InferenceQuery;
 
 use crate::batcher::{BatchPolicy, DynamicBatcher, FlushedBatch};
-use crate::cache::{CachePlacement, CachePolicy, CacheStats, HotRowCache};
+use crate::cache::{CachePlacement, CachePolicy, CacheStats, HotRowCache, RowSet};
 use crate::clock::Clock;
 use crate::cluster::{
     connect_cluster, spawn_cluster_with, ClusterConfig, ClusterHandle, ClusterOptions,
@@ -186,11 +186,28 @@ pub struct ReplayOutcome {
 
 /// The cached item row store at one precision: a row source — in-process shards or a
 /// cluster router, chosen at construction and never matched on afterwards — fronted by
-/// the router-side hot-row cache.
+/// the router-side hot-row cache, plus the flight table its batches pool through.
 #[derive(Debug, Clone)]
 struct Store<T: Lane> {
     source: Box<dyn RowSource<T>>,
     cache: HotRowCache<T>,
+    /// The engine's one flight table, refilled per batch. It lives here rather than in
+    /// [`PoolScratch`] because its fetched-row buffer has the store's row type.
+    flight: Flight<T>,
+}
+
+/// What the pooling stage writes per batch, kept across batches so a warm engine pools
+/// without allocating: the batch in CSR form, its dense profiles, the int8 sums an int8
+/// store pools into before dequantizing, and the rows a degraded cluster zero-filled.
+/// Every buffer only grows.
+#[derive(Debug, Clone, Default)]
+struct PoolScratch {
+    batch: PoolingBatch,
+    dense: Vec<f32>,
+    int8: Vec<i8>,
+    /// The batch's degraded rows, built once per batch: the cache refuses to admit
+    /// them, and the engine counts the queries that touched one.
+    degraded: RowSet,
 }
 
 /// Where a constructor wants the catalogue rows to live.
@@ -248,33 +265,48 @@ impl<T: Lane> Store<T> {
         };
         let cache =
             HotRowCache::with_policy(config.router_cache_capacity(), dim, config.cache_policy);
-        Ok((Self { source, cache }, handle))
+        let flight = Flight::default();
+        Ok((
+            Self {
+                source,
+                cache,
+                flight,
+            },
+            handle,
+        ))
     }
 
     /// Pool a CSR batch through the cache and the row source: probe the cache per
-    /// lookup in flat order (copying hits into a staging buffer), coalesce repeated
-    /// misses of one row onto a single in-flight fetch, fetch the unique misses from
-    /// the source, insert the fetched rows into the cache, then sum-pool each request
-    /// from the staging buffer in request order.
+    /// lookup in flat order, recording where each lookup's row is (a cache slot, or the
+    /// flight's one fetch of it); fetch the unique misses from the source into the
+    /// flight's row buffer; sum-pool each request in request order straight from the
+    /// cache slots and fetched rows; and only then admit the fetched rows to the cache.
+    /// Pooling must come first: an admission can evict a slot that a later lookup of the
+    /// same batch points at.
     ///
     /// Accumulation order is always the request's index order, and cached rows are
     /// exact copies of source rows, so the pooled profiles are bit-identical with the
     /// cache on, off, or at any capacity — and identical across the single-node and
     /// cluster sources.
     ///
-    /// Returns the rows the source reported missing (zero-filled by a degraded
-    /// cluster; empty outside one). A missing row contributes zero to its pools and is
-    /// **never** admitted to the cache: degradation must stay transient, not poison
-    /// future batches after the shard recovers. `trace`, when set, captures the fetch
-    /// window and the router's per-sub-request events for the batch; `None` leaves the
-    /// pooling path byte-identical to the untraced engine.
+    /// Leaves in `degraded` the rows the source reported missing (zero-filled by a
+    /// degraded cluster; none outside one) and returns them. A missing row contributes
+    /// zero to its pools and is **never** admitted to the cache: degradation must stay
+    /// transient, not poison future batches after the shard recovers. `trace`, when set,
+    /// captures the fetch window and the router's per-sub-request events for the batch;
+    /// `None` leaves the pooling path byte-identical to the untraced engine.
     fn pool_profiles(
         &mut self,
         batch: &PoolingBatch,
         profiles: &mut [T],
+        degraded: &mut RowSet,
         mut trace: Option<&mut PoolTrace>,
     ) -> Result<Vec<u32>, ServeError> {
-        let Self { source, cache } = self;
+        let Self {
+            source,
+            cache,
+            flight,
+        } = self;
         let source = source.as_mut();
         let dim = source.dim();
         if profiles.len() != batch.len() * dim {
@@ -285,6 +317,7 @@ impl<T: Lane> Store<T> {
             });
         }
         let lookups = batch.total_lookups() as u64;
+        degraded.clear();
         if cache.capacity() == 0 && !source.node_cached() {
             // Disabled-cache fast path: pool straight off the source, zero cache probes.
             // Counted as all-miss so hit-rate reporting stays comparable across configs.
@@ -296,41 +329,37 @@ impl<T: Lane> Store<T> {
             }
             traced_fetch(source, trace, |source| source.pool_direct(batch, profiles))?;
             cache.record_misses(lookups);
-            return Ok(source.take_missing());
+            let missing = source.take_missing();
+            degraded.extend(&missing);
+            return Ok(missing);
         }
         source.check_indices(batch.indices())?;
-        let flight = Flight::fetch(
+        flight.fetch(
             source,
-            batch,
-            |row, chunk| match cache.lookup(row) {
-                Some(data) => {
-                    chunk.copy_from_slice(data);
-                    true
-                }
-                None => false,
-            },
+            batch.indices(),
+            |row| cache.lookup_slot(row),
             trace.as_deref_mut(),
         )?;
         // Every repeated miss was counted as one by its probe, but rode an earlier
         // fetch of the same row instead of causing its own.
-        for _ in 0..flight.coalesced.len() {
+        for _ in 0..flight.coalesced {
             cache.coalesce_last_miss();
         }
         if let Some(trace) = trace {
             trace.misses = flight.fetched.len() as u64;
-            trace.coalesced = flight.coalesced.len() as u64;
+            trace.coalesced = flight.coalesced as u64;
             trace.hits = lookups - trace.misses - trace.coalesced;
         }
+        flight.pool(batch.offsets(), cache.slots(), profiles);
         // Admit the fetched rows, in lookup order so CLOCK state stays deterministic —
         // except rows a degraded cluster zero-filled, which must not be cached.
         let missing = source.take_missing();
-        let degraded: std::collections::HashSet<u32> = missing.iter().copied().collect();
-        for &(row, position) in &flight.fetched {
+        degraded.extend(&missing);
+        for (index, &row) in flight.fetched.iter().enumerate() {
             if !degraded.contains(&row) {
-                cache.insert(row, flight.row(position));
+                cache.insert(row, flight.fetched_row(index));
             }
         }
-        flight.pool(batch.offsets(), profiles);
         Ok(missing)
     }
 }
@@ -400,43 +429,37 @@ impl ItemStore {
         self.source_mut().reset_stats();
     }
 
-    /// Pool every request's history into a dense f32 profile (`batch.len() × dim`);
-    /// see [`Store::pool_profiles`] for the returned rows and `trace`.
+    /// Pool every request's history into a dense f32 profile (`batch.len() × dim`),
+    /// an int8 store through its reused `int8` sums; see [`Store::pool_profiles`] for
+    /// `degraded`, the returned rows and `trace`.
     fn pool_dense(
         &mut self,
         batch: &PoolingBatch,
         dense: &mut [f32],
+        int8: &mut Vec<i8>,
+        degraded: &mut RowSet,
         trace: Option<&mut PoolTrace>,
     ) -> Result<Vec<u32>, ServeError> {
         match self {
-            ItemStore::Fp32(store) => store.pool_profiles(batch, dense, trace),
-            ItemStore::Int8(store, params) => pool_dense_int8(store, *params, batch, dense, trace),
+            ItemStore::Fp32(store) => store.pool_profiles(batch, dense, degraded, trace),
+            ItemStore::Int8(store, params) => {
+                // Pool the quantized profiles, then dequantize into the model's f32 input.
+                int8.resize(batch.len() * store.source.dim(), 0);
+                let missing = store.pool_profiles(batch, int8, degraded, trace)?;
+                if dense.len() != int8.len() {
+                    return Err(ServeError::ShapeMismatch {
+                        what: "dense profile buffer",
+                        expected: int8.len(),
+                        actual: dense.len(),
+                    });
+                }
+                for (out, &quantized) in dense.iter_mut().zip(int8.iter()) {
+                    *out = params.dequantize(quantized);
+                }
+                Ok(missing)
+            }
         }
     }
-}
-
-/// The int8 variant of dense pooling: pool quantized profiles, then dequantize into
-/// the model's f32 input.
-fn pool_dense_int8(
-    store: &mut Store<i8>,
-    params: QuantizationParams,
-    batch: &PoolingBatch,
-    dense: &mut [f32],
-    trace: Option<&mut PoolTrace>,
-) -> Result<Vec<u32>, ServeError> {
-    let mut profiles = vec![0i8; batch.len() * store.source.dim()];
-    let missing = store.pool_profiles(batch, &mut profiles, trace)?;
-    if dense.len() != profiles.len() {
-        return Err(ServeError::ShapeMismatch {
-            what: "dense profile buffer",
-            expected: profiles.len(),
-            actual: dense.len(),
-        });
-    }
-    for (out, &quantized) in dense.iter_mut().zip(profiles.iter()) {
-        *out = params.dequantize(quantized);
-    }
-    Ok(missing)
 }
 
 /// The serving engine: model + item store + TCAM filter + telemetry.
@@ -462,6 +485,8 @@ pub struct ServeEngine {
     /// first batch grows it, and the batch's scores.
     ranking: DlrmScratch,
     scores: Vec<f32>,
+    /// Reused across batches by the pooling stage.
+    pool: PoolScratch,
 }
 
 impl ServeEngine {
@@ -601,6 +626,7 @@ impl ServeEngine {
         let engine = Self {
             ranking: model.scratch(),
             scores: Vec::new(),
+            pool: PoolScratch::default(),
             model,
             store,
             lsh,
@@ -777,26 +803,35 @@ impl ServeEngine {
             .unwrap_or_default()
     }
 
-    /// Pool the batch's profiles, grouping requests by home shard first when
-    /// [`ServeConfig::shard_batching`] is on: each group pools as its own sub-batch, so
-    /// its row fetch routes overwhelmingly to one shard node and the cross-shard hops
-    /// of the whole group amortize into that single sub-request. Profiles land at each
-    /// request's original offset and per-request pooling is untouched, so responses are
-    /// bit-identical to the ungrouped path — only fan-out and cache counters move.
+    /// Pool `requests` into [`PoolScratch::batch`] and [`PoolScratch::dense`], grouping
+    /// requests by home shard first when [`ServeConfig::shard_batching`] is on: each
+    /// group pools as its own sub-batch, so its row fetch routes overwhelmingly to one
+    /// shard node and the cross-shard hops of the whole group amortize into that single
+    /// sub-request. Profiles land at each request's original offset and per-request
+    /// pooling is untouched, so responses are bit-identical to the ungrouped path — only
+    /// fan-out and cache counters move. (The grouped path builds its sub-batches fresh;
+    /// only the ungrouped path is allocation-free.)
     fn pool_batch_dense(
         &mut self,
         requests: &[ServeRequest],
-        batch: &PoolingBatch,
-        dense: &mut [f32],
         mut pool_trace: Option<&mut PoolTrace>,
     ) -> Result<Vec<u32>, ServeError> {
-        if !self.config.shard_batching || self.num_shards() <= 1 {
-            return self
-                .store
-                .pool_dense(batch, dense, pool_trace.as_deref_mut());
-        }
         let dense_dim = self.model.config().num_dense_features;
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.num_shards()];
+        let pool = &mut self.pool;
+        pool.batch
+            .refill(requests.iter().map(|request| request.history.as_slice()));
+        pool.dense.resize(requests.len() * dense_dim, 0.0);
+        let shards = self.store.source().num_shards();
+        if !self.config.shard_batching || shards <= 1 {
+            return self.store.pool_dense(
+                &pool.batch,
+                &mut pool.dense,
+                &mut pool.int8,
+                &mut pool.degraded,
+                pool_trace,
+            );
+        }
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shards];
         for (index, request) in requests.iter().enumerate() {
             groups[self.store.source().home_shard(&request.history)].push(index);
         }
@@ -815,6 +850,8 @@ impl ServeEngine {
             missing.extend(self.store.pool_dense(
                 &sub_batch,
                 &mut sub_dense,
+                &mut pool.int8,
+                &mut pool.degraded,
                 sub_trace.as_mut(),
             )?);
             if let (Some(trace), Some(sub)) = (pool_trace.as_deref_mut(), sub_trace) {
@@ -830,19 +867,22 @@ impl ServeEngine {
                 trace.node_spans.extend(sub.node_spans);
             }
             for (&index, profile) in group.iter().zip(sub_dense.chunks(dense_dim)) {
-                dense[index * dense_dim..(index + 1) * dense_dim].copy_from_slice(profile);
+                pool.dense[index * dense_dim..(index + 1) * dense_dim].copy_from_slice(profile);
             }
         }
         // One batch can report a missing row once per group; collapse to the
-        // ungrouped contract of unique rows.
+        // ungrouped contract of unique rows, and leave all of them in `degraded`.
         missing.sort_unstable();
         missing.dedup();
+        pool.degraded.clear();
+        pool.degraded.extend(&missing);
         Ok(missing)
     }
 
     /// Execute one coalesced batch through pooling, filtering and ranking. Responses are
     /// in request order with `latency_us` zero (the replay driver fills latencies from
-    /// its clock).
+    /// its clock). Once warm, an untraced batch allocates two things: the returned
+    /// responses and the TCAM search's cost breakdown.
     ///
     /// # Errors
     ///
@@ -856,8 +896,6 @@ impl ServeEngine {
             return Ok(Vec::new());
         }
         let dense_dim = self.model.config().num_dense_features;
-        let histories: Vec<&[u32]> = requests.iter().map(|r| r.history.as_slice()).collect();
-        let batch = PoolingBatch::from_requests(&histories);
 
         // Per-batch trace gate: only a batch containing a sampled query pays any
         // tracing work — every other batch takes the exact untraced code path.
@@ -873,14 +911,18 @@ impl ServeEngine {
         //    read per cache miss (hits are served from the buffer next to the compute),
         //    one in-memory add per accumulated row beyond each request's first.
         let misses_before = self.store.cache_stats().misses;
-        let mut dense = vec![0.0f32; requests.len() * dense_dim];
-        let missing = self.pool_batch_dense(requests, &batch, &mut dense, pool_trace.as_mut())?;
+        let missing = self.pool_batch_dense(requests, pool_trace.as_mut())?;
         let pool_end_us = pool_trace.as_ref().map(|t| t.clock.now_us());
+        let PoolScratch {
+            batch,
+            dense,
+            degraded,
+            ..
+        } = &self.pool;
         if !missing.is_empty() {
             // Degraded-mode accounting: every zero-filled row, and every query whose
             // pooled history touched one, is visible in the replay report.
             self.telemetry.missing_row_lookups += missing.len() as u64;
-            let degraded: std::collections::HashSet<u32> = missing.iter().copied().collect();
             for i in 0..batch.len() {
                 if batch.request(i).iter().any(|row| degraded.contains(row)) {
                     self.telemetry.degraded_queries += 1;
@@ -936,18 +978,19 @@ impl ServeEngine {
         self.telemetry.cost.merge(&search.breakdown);
         self.telemetry.total_cost += search.cost;
 
-        // 3. Ranking: the profile is the dense input of the DLRM sample.
-        let samples: Vec<DlrmSample> = requests
-            .iter()
-            .zip(dense.chunks(dense_dim))
-            .map(|(request, profile)| DlrmSample {
-                dense: profile.to_vec(),
-                sparse: request.sparse.clone(),
-            })
-            .collect();
+        // 3. Ranking: each request's profile, read in place from the dense buffer, is
+        //    the dense input of its DLRM sample; its categorical ids are its own.
+        let samples =
+            requests
+                .iter()
+                .zip(dense.chunks_exact(dense_dim))
+                .map(|(request, profile)| DlrmSampleView {
+                    dense: profile,
+                    sparse: &request.sparse,
+                });
         self.scores.resize(requests.len(), 0.0);
         self.model
-            .predict_batch_into(&samples, &mut self.ranking, &mut self.scores)?;
+            .predict_batch_into(samples, &mut self.ranking, &mut self.scores)?;
         if let Some(pool) = pool_trace.take() {
             let scratch = BatchScratch {
                 pool_begin_us: pool_begin_us.unwrap_or(0.0),
@@ -1773,6 +1816,79 @@ mod tests {
                     warm.hits + warm.coalesced,
                     45,
                     "{policy:?}/{placement:?}: {warm:?}"
+                );
+            }
+        }
+    }
+
+    /// Pooling reads hits straight from their cache slots, so it must finish before the
+    /// batch's misses are admitted: here every admission evicts a slot an earlier lookup
+    /// of the same batch hit. The profiles must still be the cache-off engine's, bit for
+    /// bit, and the counters the hand-computed CLOCK sequence.
+    #[test]
+    fn admitting_a_miss_never_changes_a_hit_pooled_in_the_same_batch() {
+        let request = |id: u64, history: &[u32]| ServeRequest {
+            id,
+            arrival_us: 0.0,
+            query: InferenceQuery {
+                user_index: id as usize,
+                candidates: 50,
+                top_k: 5,
+            },
+            history: history.to_vec(),
+            sparse: vec![1, 2, 3],
+        };
+        let (a, b, c, d) = (5, 700, 33, 1000);
+        // Capacity 1: batch 1 caches A. Batch 2 hits A twice and misses B (its second
+        // lookup coalesces); admitting B evicts A's slot. Batch 3 hits the resident B.
+        let one = vec![
+            vec![request(0, &[a])],
+            vec![request(1, &[a, b, a]), request(2, &[b])],
+            vec![request(3, &[b])],
+        ];
+        let one_stats = CacheStats {
+            hits: 3,
+            coalesced: 1,
+            misses: 2,
+            insertions: 2,
+            evictions: 1,
+            rejections: 0,
+        };
+        // Capacity 2: batch 1 caches A and B. Batch 2 hits both and misses C and D (C's
+        // second lookup coalesces); the CLOCK hand clears both reference bits, then
+        // admitting C evicts A's slot and admitting D evicts B's.
+        let two = vec![
+            vec![request(0, &[a, b])],
+            vec![request(1, &[a, c]), request(2, &[b, d, c])],
+        ];
+        let two_stats = CacheStats {
+            hits: 2,
+            coalesced: 1,
+            misses: 4,
+            insertions: 4,
+            evictions: 2,
+            rejections: 0,
+        };
+        for precision in [ServePrecision::Fp32, ServePrecision::Int8] {
+            for (capacity, batches, stats) in [(1, &one, one_stats), (2, &two, two_stats)] {
+                let mut cached = engine(capacity, precision);
+                let mut uncached = engine(0, precision);
+                for batch in batches {
+                    let served = cached.process_batch(batch).unwrap();
+                    let reference = uncached.process_batch(batch).unwrap();
+                    let bits =
+                        |dense: &[f32]| dense.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&cached.pool.dense),
+                        bits(&uncached.pool.dense),
+                        "{precision:?} capacity {capacity}"
+                    );
+                    assert_eq!(served, reference, "{precision:?} capacity {capacity}");
+                }
+                assert_eq!(
+                    cached.cache_stats(),
+                    stats,
+                    "{precision:?} capacity {capacity}"
                 );
             }
         }

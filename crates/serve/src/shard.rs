@@ -15,7 +15,7 @@
 //! accumulation semantics as those sources (plain f32 adds, lane-wise saturating int8
 //! adds), so shard-served results are bit-identical to the unsharded reference.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::hash_map::Entry;
 use std::sync::{Arc, Mutex};
 
 use imars_fabric::cost::{Cost, CostBreakdown};
@@ -24,7 +24,7 @@ use imars_recsys::batch::PoolingBatch;
 use imars_recsys::embedding::EmbeddingTable;
 use imars_recsys::quantization::QuantizedTable;
 
-use crate::cache::{CachePolicy, CacheStats, HotRowCache};
+use crate::cache::{CachePolicy, CacheStats, HotRowCache, RowMap};
 use crate::cluster::ClusterCounters;
 use crate::error::ServeError;
 use crate::placement::plurality_shard;
@@ -115,9 +115,11 @@ impl Lane for i8 {
 /// and everything the engine asks about it afterwards is a method of this trait or of
 /// its precision-independent half, [`ShardTopology`].
 pub(crate) trait RowSource<T: Lane>: ShardTopology {
-    /// Copy the requested rows into the paired output chunks. Indices must be
-    /// pre-validated; chunks are `dim` wide.
-    fn fetch_rows(&mut self, work: Vec<(u32, &mut [T])>) -> Result<(), ServeError>;
+    /// Copy row `rows[i]` into `out[i * dim..(i + 1) * dim]` for every `i`; `out` is
+    /// exactly `rows.len() * dim` long. Indices must be pre-validated. The flight
+    /// table hands each unique row of a batch here once, so `rows` holds no repeats
+    /// on the serve path.
+    fn fetch_rows(&mut self, rows: &[u32], out: &mut [T]) -> Result<(), ServeError>;
 
     /// Sum-pool a CSR batch straight off the store (the cache-disabled path),
     /// accumulating each request in index order.
@@ -243,89 +245,103 @@ pub(crate) fn traced_fetch<S: ShardTopology + ?Sized, R>(
     result
 }
 
-/// One batch's flat lookups staged for pooling behind a flight table: each unique row
-/// that `probe` could not serve is fetched from the source exactly once, and repeated
-/// lookups of it are copied from the first occurrence's staging slot. The one
-/// coalescing routine of the crate — the engine's cached pooling path (probe = the
-/// router cache) and the cluster's cache-off direct path (probe = never) both call it,
-/// so the routed traffic, and its bus charge, counts each unique row once per batch
-/// either way.
+/// Tags a [`Flight`] source that names a fetched row rather than a cache slot.
+const FETCHED: u32 = 1 << 31;
+
+/// One batch's flight table: where each flat lookup's row is, with every unique row
+/// the probe could not serve fetched from the source exactly once. A lookup's row is
+/// either a slot of the probing cache or one row of a flat buffer of the batch's
+/// fetched rows, and pooling reads it from there — no lookup is copied anywhere
+/// first. The one coalescing routine of the crate: the engine's cached pooling path
+/// (probe = the router cache) and the cluster's cache-off direct path (probe = never)
+/// both call it, so the routed traffic, and its bus charge, counts each unique row once
+/// per batch either way. The engine keeps one per store and refills it every batch:
+/// its buffers and table are cleared, never rebuilt, so a warm flight allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Flight<T> {
-    staging: Vec<T>,
     dim: usize,
-    /// `(row, staging position)` of every row fetched from the source, in
-    /// first-lookup order.
-    pub(crate) fetched: Vec<(u32, usize)>,
-    /// `(destination, source)` staging positions of lookups coalesced onto an earlier
-    /// fetch of the same row in this batch.
-    pub(crate) coalesced: Vec<(usize, usize)>,
+    /// Per flat lookup: the cache slot that served it, or `FETCHED | i` for the `i`-th
+    /// fetched row.
+    sources: Vec<u32>,
+    /// Row id → its index in `fetched`, for the batch in flight.
+    table: RowMap<u32>,
+    /// The unique rows fetched from the source, in first-lookup order.
+    pub(crate) fetched: Vec<u32>,
+    /// Their data, `dim` elements each in `fetched` order (the buffer only grows; the
+    /// batch's rows are its first `fetched.len() * dim` elements).
+    rows: Vec<T>,
+    /// Lookups that rode an earlier fetch of the same row in this batch.
+    pub(crate) coalesced: usize,
 }
 
 impl<T: Lane> Flight<T> {
-    /// Walk `batch`'s lookups in flat order: `probe(row, chunk)` returns `true` when it
-    /// filled `chunk` itself (a cache hit); every other lookup joins the flight table.
-    /// Then fetch the unique rows from `source`, the fetch window and router events
-    /// captured into `trace` when set. Indices must be pre-validated.
+    /// Walk the flat lookups `indices` in order: `probe(row)` names the cache slot of
+    /// a hit, and every other lookup joins the flight table. Then fetch the unique
+    /// rows from `source` into the flight's row buffer, the fetch window and router
+    /// events captured into `trace` when set. Indices must be pre-validated.
     pub(crate) fn fetch<S: RowSource<T> + ?Sized>(
+        &mut self,
         source: &mut S,
-        batch: &PoolingBatch,
-        mut probe: impl FnMut(u32, &mut [T]) -> bool,
+        indices: &[u32],
+        mut probe: impl FnMut(u32) -> Option<usize>,
         trace: Option<&mut PoolTrace>,
-    ) -> Result<Self, ServeError> {
-        let dim = source.dim();
-        let mut staging = vec![T::default(); batch.total_lookups() * dim];
-        let mut fetched: Vec<(u32, usize)> = Vec::new();
-        let mut coalesced: Vec<(usize, usize)> = Vec::new();
-        {
-            let mut in_flight: HashMap<u32, usize> = HashMap::new();
-            let mut misses: Vec<(u32, &mut [T])> = Vec::new();
-            for ((position, &row), chunk) in batch
-                .indices()
-                .iter()
-                .enumerate()
-                .zip(staging.chunks_mut(dim))
-            {
-                if probe(row, chunk) {
-                    continue;
+    ) -> Result<(), ServeError> {
+        self.dim = source.dim();
+        self.sources.clear();
+        self.table.clear();
+        self.fetched.clear();
+        self.coalesced = 0;
+        for &row in indices {
+            let at = match probe(row) {
+                Some(slot) => {
+                    debug_assert!(slot < FETCHED as usize, "cache slot {slot} overflows");
+                    slot as u32
                 }
-                match in_flight.entry(row) {
-                    Entry::Occupied(entry) => coalesced.push((position, *entry.get())),
-                    Entry::Vacant(entry) => {
-                        entry.insert(position);
-                        fetched.push((row, position));
-                        misses.push((row, chunk));
+                None => match self.table.entry(row) {
+                    Entry::Occupied(entry) => {
+                        self.coalesced += 1;
+                        FETCHED | *entry.get()
                     }
-                }
-            }
-            traced_fetch(source, trace, |source| source.fetch_rows(misses))?;
+                    Entry::Vacant(entry) => {
+                        let index = self.fetched.len() as u32;
+                        entry.insert(index);
+                        self.fetched.push(row);
+                        FETCHED | index
+                    }
+                },
+            };
+            self.sources.push(at);
         }
-        Ok(Self {
-            staging,
-            dim,
-            fetched,
-            coalesced,
-        })
+        let len = self.fetched.len() * self.dim;
+        if self.rows.len() < len {
+            self.rows.resize(len, T::default());
+        }
+        let (fetched, rows) = (&self.fetched, &mut self.rows[..len]);
+        traced_fetch(source, trace, |source| source.fetch_rows(fetched, rows))
     }
 
-    /// The staged row at flat lookup `position`.
-    pub(crate) fn row(&self, position: usize) -> &[T] {
-        &self.staging[position * self.dim..(position + 1) * self.dim]
+    /// The `index`-th fetched row (in `fetched` order).
+    pub(crate) fn fetched_row(&self, index: usize) -> &[T] {
+        &self.rows[index * self.dim..(index + 1) * self.dim]
     }
 
-    /// Fill the coalesced lookups from their first occurrence, then sum-pool each
-    /// request from the staging buffer: request `i` accumulates staging rows
-    /// `offsets[i]..offsets[i+1]` with [`Lane::accumulate`]. The accumulation order
-    /// (flat request order) is the bit-exactness contract.
-    pub(crate) fn pool(mut self, offsets: &[usize], out: &mut [T]) {
+    /// Sum-pool each request from where its rows are: request `i` accumulates, with
+    /// [`Lane::accumulate_slice`], the rows of lookups `offsets[i]..offsets[i+1]`,
+    /// each a slot of `cached` (the probing cache's slot-major data, unchanged since
+    /// the probe) or a fetched row. The accumulation order (flat request order) is the
+    /// bit-exactness contract.
+    pub(crate) fn pool(&self, offsets: &[usize], cached: &[T], out: &mut [T]) {
         let dim = self.dim;
-        for &(destination, source) in &self.coalesced {
-            self.staging
-                .copy_within(source * dim..(source + 1) * dim, destination * dim);
-        }
         for (slot, run) in out.chunks_mut(dim).zip(offsets.windows(2)) {
             slot.fill(T::default());
-            for position in run[0]..run[1] {
-                T::accumulate_slice(slot, self.row(position));
+            for &at in &self.sources[run[0]..run[1]] {
+                let row = if at & FETCHED == 0 {
+                    &cached[at as usize * dim..(at as usize + 1) * dim]
+                } else {
+                    self.fetched_row((at & !FETCHED) as usize)
+                };
+                T::accumulate_slice(slot, row);
             }
         }
     }
@@ -541,21 +557,29 @@ impl<T: Lane> ShardedTable<T> {
         Ok(())
     }
 
-    /// Copy the requested rows into per-row output chunks, in flat order, each through
-    /// its shard's node cache when one is installed. Indices must already be validated;
-    /// `work` pairs a row id with its destination chunk.
-    pub fn fetch_into(&self, work: Vec<(u32, &mut [T])>) {
-        debug_assert!(work
-            .iter()
-            .all(|(_, chunk)| chunk.len() == self.arena.dim()));
+    /// Copy row `rows[i]` into `out[i * dim..(i + 1) * dim]`, in flat order, each
+    /// through its shard's node cache when one is installed. Indices must already be
+    /// validated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not exactly `rows.len() * dim` long.
+    pub fn fetch_into(&self, rows: &[u32], out: &mut [T]) {
+        let dim = self.arena.dim();
+        assert_eq!(
+            out.len(),
+            rows.len() * dim,
+            "fetch output must hold every row"
+        );
+        let work = rows.iter().zip(out.chunks_exact_mut(dim));
         match &self.node_caches {
             Some(caches) => {
-                for (row, chunk) in work {
+                for (&row, chunk) in work {
                     self.fetch_via_cache(&caches[self.shard_of(row)], row, chunk);
                 }
             }
             None => {
-                for (row, chunk) in work {
+                for (&row, chunk) in work {
                     chunk.copy_from_slice(self.row(row));
                 }
             }
@@ -596,8 +620,8 @@ impl<T: Lane> ShardedTable<T> {
 }
 
 impl<T: Lane> RowSource<T> for ShardedTable<T> {
-    fn fetch_rows(&mut self, work: Vec<(u32, &mut [T])>) -> Result<(), ServeError> {
-        self.fetch_into(work);
+    fn fetch_rows(&mut self, rows: &[u32], out: &mut [T]) -> Result<(), ServeError> {
+        self.fetch_into(rows, out);
         Ok(())
     }
 
@@ -774,8 +798,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let rows: Vec<u32> = (0..300).map(|_| rng.gen_range(0..256u32)).collect();
         let mut out = vec![0.0f32; rows.len() * 8];
-        let work: Vec<(u32, &mut [f32])> = rows.iter().copied().zip(out.chunks_mut(8)).collect();
-        sharded.fetch_into(work);
+        sharded.fetch_into(&rows, &mut out);
         for (&row, chunk) in rows.iter().zip(out.chunks(8)) {
             assert_eq!(chunk, t.lookup(row as usize).unwrap());
         }

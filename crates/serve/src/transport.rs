@@ -52,7 +52,7 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::cache::{CachePolicy, CacheStats};
+use crate::cache::{CachePolicy, CacheStats, RowMap};
 use crate::chaos::{ChaosPlan, FaultAction, FaultKind, FaultSpec};
 use crate::clock::{Clock, WallClock};
 use crate::cluster::{
@@ -307,11 +307,13 @@ pub(crate) fn encode_shutdown(shard: u32) -> Vec<u8> {
 
 /// A socket node's rows: opaque wire bytes keyed by global row id, installed by a
 /// `LOAD` frame. The node is type-agnostic, so it stores (and caches) wire bytes
-/// exactly as received — a row is `row_bytes` values of `u8`.
+/// exactly as received — a row is `row_bytes` values of `u8`. The rows sit back to
+/// back in one buffer, in `LOAD` order, behind a row id → buffer offset map.
 #[derive(Debug, Default)]
 pub(crate) struct BlobRows {
     row_bytes: usize,
-    rows: HashMap<u32, Vec<u8>>,
+    bytes: Vec<u8>,
+    offsets: RowMap<usize>,
 }
 
 impl BlobRows {
@@ -327,20 +329,25 @@ impl BlobRows {
         if row_bytes == 0 || payload.len() != 12 + count * (4 + row_bytes) {
             return Err(bad());
         }
-        let mut rows = HashMap::with_capacity(count);
-        let mut at = 12;
-        for _ in 0..count {
-            let row = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
-            rows.insert(row, payload[at + 4..at + 4 + row_bytes].to_vec());
-            at += 4 + row_bytes;
+        let mut bytes = Vec::with_capacity(count * row_bytes);
+        let mut offsets = RowMap::with_capacity_and_hasher(count, Default::default());
+        for entry in payload[12..].chunks_exact(4 + row_bytes) {
+            let row = u32::from_le_bytes(entry[..4].try_into().expect("4 bytes"));
+            offsets.insert(row, bytes.len());
+            bytes.extend_from_slice(&entry[4..]);
         }
-        Ok(Self { row_bytes, rows })
+        Ok(Self {
+            row_bytes,
+            bytes,
+            offsets,
+        })
     }
 }
 
 impl NodeRows<u8> for BlobRows {
     fn row(&self, row: u32) -> Option<&[u8]> {
-        self.rows.get(&row).map(Vec::as_slice)
+        let &at = self.offsets.get(&row)?;
+        Some(&self.bytes[at..at + self.row_bytes])
     }
 
     fn dim(&self) -> usize {
