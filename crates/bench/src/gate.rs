@@ -303,7 +303,7 @@ pub enum GateStatus {
 
 impl GateStatus {
     /// Whether this row fails the gate.
-    pub fn is_failure(self) -> bool {
+    pub(crate) fn is_failure(self) -> bool {
         matches!(
             self,
             GateStatus::Regressed | GateStatus::Missing | GateStatus::SuiteMissing

@@ -65,7 +65,7 @@ impl BenchResult {
     }
 
     /// Mean nanoseconds per iteration.
-    pub fn mean_ns(&self) -> f64 {
+    pub(crate) fn mean_ns(&self) -> f64 {
         self.sample_ns.iter().sum::<f64>() / self.sample_ns.len() as f64
     }
 

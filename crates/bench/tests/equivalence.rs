@@ -146,7 +146,6 @@ fn serve_engine_matches_the_unbatched_primitive_pipeline() {
             cache_capacity: 32,
             cache_policy: CachePolicy::Clock,
             cache_placement: CachePlacement::Router,
-            shard_batching: false,
             precision: ServePrecision::Fp32,
             policy: BatchPolicy::new(16, 200.0).unwrap(),
             signature_bits,
@@ -222,7 +221,6 @@ fn threaded_runtime_matches_the_simulated_replay_bit_for_bit() {
         cache_capacity: 64,
         cache_policy: CachePolicy::Clock,
         cache_placement: CachePlacement::Router,
-        shard_batching: false,
         precision: ServePrecision::Fp32,
         policy: BatchPolicy::new(16, 200.0).unwrap(),
         signature_bits: 64,
@@ -300,7 +298,6 @@ fn tracing_is_a_pure_observer_with_complete_stage_accounting() {
         cache_capacity: 64,
         cache_policy: CachePolicy::Clock,
         cache_placement: CachePlacement::Router,
-        shard_batching: false,
         precision: ServePrecision::Fp32,
         policy: BatchPolicy::new(16, 200.0).unwrap(),
         signature_bits: 64,
@@ -430,7 +427,6 @@ fn clustered_serving_matches_single_node_across_placements() {
             cache_capacity: 64,
             cache_policy: CachePolicy::Clock,
             cache_placement: CachePlacement::Router,
-            shard_batching: false,
             precision,
             policy: BatchPolicy::new(16, 200.0).unwrap(),
             signature_bits: 64,

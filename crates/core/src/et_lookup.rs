@@ -193,7 +193,7 @@ impl EtLookupModel {
     /// Tables occupy distinct banks (Table I: one sparse feature per bank) and pool in
     /// parallel; the serialized RSC bus then moves each pooled embedding to the DNN
     /// buffer, one control overhead per table.
-    pub fn stage_cost_for_tables(&self, tables: &[(usize, usize)]) -> EtLookupCost {
+    pub(crate) fn stage_cost_for_tables(&self, tables: &[(usize, usize)]) -> EtLookupCost {
         let rsc = RscBus::new(self.config.interconnect);
         let control = Cost::new(
             self.config.interconnect.control_energy_pj,

@@ -40,7 +40,7 @@ impl EtSpec {
     }
 
     /// An item embedding table that also stores per-entry LSH signatures.
-    pub fn with_lsh(name: impl Into<String>, rows: usize) -> Self {
+    pub(crate) fn with_lsh(name: impl Into<String>, rows: usize) -> Self {
         Self {
             name: name.into(),
             rows,
@@ -199,7 +199,8 @@ impl EtMapping {
 
     /// Number of intra-bank accumulation rounds needed to pool across the mats of the
     /// busiest table (1 when at most `fan_in` mats are active).
-    pub fn worst_case_accumulation_rounds(&self, fan_in: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn worst_case_accumulation_rounds(&self, fan_in: usize) -> usize {
         self.placements
             .iter()
             .map(|p| p.mats_activated.div_ceil(fan_in.max(1)))

@@ -262,7 +262,9 @@ fn serve_error(error: imars_serve::ServeError) -> CoreError {
 ///
 /// Returns [`CoreError::InvalidExperiment`] when the replay cannot be configured or
 /// fails mid-run.
-pub fn run_large_replay(config: &LargeReplayConfig) -> Result<Vec<LargeReplayPoint>, CoreError> {
+pub(crate) fn run_large_replay(
+    config: &LargeReplayConfig,
+) -> Result<Vec<LargeReplayPoint>, CoreError> {
     let model_config = serve_model();
     let dim = model_config.num_dense_features;
     let items = EmbeddingTable::new(config.num_items, dim, 77)?;

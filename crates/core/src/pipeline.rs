@@ -55,7 +55,11 @@ impl StageCost {
 /// Cost of a DNN stack on the crossbar banks: each layer is tiled over 256×128 crossbar
 /// arrays which fire in parallel; layers run back to back, and a batch streams through
 /// the layer pipeline (`batch + layers − 1` crossbar rounds end to end).
-pub fn crossbar_dnn_cost(fom: &ArrayFom, layer_shapes: &[(usize, usize)], batch: usize) -> Cost {
+pub(crate) fn crossbar_dnn_cost(
+    fom: &ArrayFom,
+    layer_shapes: &[(usize, usize)],
+    batch: usize,
+) -> Cost {
     let bank = CrossbarBank::new(*fom);
     let matmul = Cost::from_fom(fom.crossbar_matmul);
     let batch = batch.max(1);
@@ -73,7 +77,7 @@ pub fn crossbar_dnn_cost(fom: &ArrayFom, layer_shapes: &[(usize, usize)], batch:
 /// Cost of the TCAM nearest-neighbour search over a catalogue of `items` signatures:
 /// every signature array searches in parallel (one search figure of merit of latency,
 /// one of energy per array).
-pub fn tcam_nns_cost(fom: &ArrayFom, items: usize) -> Cost {
+pub(crate) fn tcam_nns_cost(fom: &ArrayFom, items: usize) -> Cost {
     let arrays = items.div_ceil(fom.cma_geometry.rows).max(1);
     let search = Cost::from_fom(fom.cma.search);
     Cost::new(search.energy_pj * arrays as f64, search.latency_ns)
@@ -85,7 +89,7 @@ pub fn tcam_nns_cost(fom: &ArrayFom, items: usize) -> Cost {
 /// # Errors
 ///
 /// Propagates mapping failures from the ET model.
-pub fn imars_filtering_breakdown(
+pub(crate) fn imars_filtering_breakdown(
     model: &EtLookupModel,
     workload: &RecsysWorkload,
 ) -> Result<StageCost, CoreError> {
@@ -109,7 +113,7 @@ pub fn imars_filtering_breakdown(
 /// # Errors
 ///
 /// Propagates mapping failures from the ET model.
-pub fn imars_ranking_breakdown(
+pub(crate) fn imars_ranking_breakdown(
     model: &EtLookupModel,
     workload: &RecsysWorkload,
     candidates: usize,

@@ -204,7 +204,7 @@ impl Study {
 /// Format a float as a deterministic JSON number: plain fixed-point in the readable
 /// range, scientific notation outside it (so sub-nanosecond latencies and 10⁴-class
 /// speedups both survive), and bare integers without a fraction.
-pub fn format_number(value: f64) -> String {
+pub(crate) fn format_number(value: f64) -> String {
     if !value.is_finite() {
         // JSON has no Inf/NaN; clamp to null-ish sentinel the parser side can detect.
         return "null".to_string();

@@ -68,9 +68,9 @@ impl RecsysWorkload {
     /// the paper's per-input measurements are consistent with a few tens of pooled rows,
     /// so the model uses 50 (and the value is a plain field, swept by the design-space
     /// benches).
-    pub const MOVIELENS_HISTORY_LOOKUPS: usize = 50;
+    pub(crate) const MOVIELENS_HISTORY_LOOKUPS: usize = 50;
     /// Representative number of genre rows pooled per MovieLens inference.
-    pub const MOVIELENS_GENRE_LOOKUPS: usize = 5;
+    pub(crate) const MOVIELENS_GENRE_LOOKUPS: usize = 5;
 
     /// The MovieLens filtering-stage workload (Table I, first column).
     pub fn movielens_filtering() -> Self {
@@ -157,11 +157,6 @@ impl RecsysWorkload {
         }
     }
 
-    /// Number of embedding tables (sparse features) of the workload.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Total number of embedding rows pooled per inference input.
     pub fn total_lookups(&self) -> usize {
         self.tables.iter().map(|t| t.lookups_per_inference).sum()
@@ -173,7 +168,7 @@ impl RecsysWorkload {
     }
 
     /// The equivalent GPU-side lookup workload, used by the baseline model.
-    pub fn gpu_lookup_workload(&self) -> EtLookupWorkload {
+    pub(crate) fn gpu_lookup_workload(&self) -> EtLookupWorkload {
         EtLookupWorkload {
             tables: self
                 .tables
@@ -196,7 +191,7 @@ mod tests {
     fn movielens_filtering_matches_table_i() {
         let workload = RecsysWorkload::movielens_filtering();
         // 5 UIETs + 1 ItET.
-        assert_eq!(workload.table_count(), 6);
+        assert_eq!(workload.tables.len(), 6);
         assert_eq!(
             workload
                 .tables
@@ -214,7 +209,7 @@ mod tests {
     fn movielens_ranking_adds_one_uiet_and_scores_ctr() {
         let filtering = RecsysWorkload::movielens_filtering();
         let ranking = RecsysWorkload::movielens_ranking();
-        assert_eq!(ranking.table_count(), filtering.table_count() + 1);
+        assert_eq!(ranking.tables.len(), filtering.tables.len() + 1);
         assert_eq!(ranking.dnn_layers.last(), Some(&(128, 1)));
         assert!(ranking.total_lookups() > filtering.total_lookups());
     }
@@ -222,7 +217,7 @@ mod tests {
     #[test]
     fn criteo_ranking_has_26_single_lookup_tables() {
         let workload = RecsysWorkload::criteo_ranking();
-        assert_eq!(workload.table_count(), 26);
+        assert_eq!(workload.tables.len(), 26);
         assert_eq!(workload.total_lookups(), 26);
         assert!(workload.tables.iter().all(|t| t.lookups_per_inference == 1));
         assert_eq!(
@@ -237,7 +232,7 @@ mod tests {
     fn gpu_workload_mirrors_tables() {
         let workload = RecsysWorkload::movielens_ranking();
         let gpu = workload.gpu_lookup_workload();
-        assert_eq!(gpu.tables.len(), workload.table_count());
+        assert_eq!(gpu.tables.len(), workload.tables.len());
         assert_eq!(gpu.dim, 32);
         assert_eq!(
             gpu.tables.iter().map(|t| t.lookups).sum::<usize>(),

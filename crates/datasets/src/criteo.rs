@@ -93,18 +93,20 @@ impl SyntheticCriteo {
     }
 
     /// Number of categorical fields.
-    pub fn sparse_field_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn sparse_field_count(&self) -> usize {
         self.config.sparse_cardinalities.len()
     }
 
     /// Per-field cardinalities (the row counts of the DLRM embedding tables — the input
     /// to the Table I memory mapping for the Criteo column).
-    pub fn embedding_table_rows(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn embedding_table_rows(&self) -> Vec<usize> {
         self.config.sparse_cardinalities.clone()
     }
 
     /// Generate the next labelled sample: `(features, clicked)`.
-    pub fn next_sample(&mut self) -> (DlrmSample, f32) {
+    pub(crate) fn next_sample(&mut self) -> (DlrmSample, f32) {
         let dense: Vec<f32> = (0..self.config.num_dense_features)
             .map(|_| self.rng.gen_range(-1.0..1.0f32))
             .collect();

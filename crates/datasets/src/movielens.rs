@@ -219,13 +219,13 @@ impl SyntheticMovieLens {
     }
 
     /// Genres of one item (empty for an unknown item).
-    pub fn item_genres(&self, item: usize) -> &[usize] {
+    pub(crate) fn item_genres(&self, item: usize) -> &[usize] {
         self.item_genres.get(item).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Build the user profile of one user, excluding that user's last interaction (the
     /// held-out positive) and aggregating genre preferences from the remaining history.
-    pub fn profile_of(&self, user: &SyntheticUser) -> UserProfile {
+    pub(crate) fn profile_of(&self, user: &SyntheticUser) -> UserProfile {
         let history: Vec<usize> = if user.interactions.len() > 1 {
             user.interactions[..user.interactions.len() - 1].to_vec()
         } else {
@@ -249,7 +249,7 @@ impl SyntheticMovieLens {
 
     /// Leave-one-out split: one [`FilteringExample`] per user whose held-out positive is
     /// the user's final interaction.
-    pub fn leave_one_out(&self) -> Vec<FilteringExample> {
+    pub(crate) fn leave_one_out(&self) -> Vec<FilteringExample> {
         self.users
             .iter()
             .filter(|user| user.interactions.len() >= 2)
@@ -306,7 +306,8 @@ impl SyntheticMovieLens {
     /// dataset, in the UIET order used by the hardware mapping (history, genre, age,
     /// gender, occupation, ranking context) plus the ItET. This is the input to the
     /// Table I mapping.
-    pub fn embedding_table_rows(&self) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn embedding_table_rows(&self) -> Vec<usize> {
         vec![
             self.config.num_items,            // history UIET
             self.config.num_genres,           // genre UIET

@@ -72,13 +72,6 @@ impl ZipfSampler {
         }
     }
 
-    /// Allocating convenience wrapper around [`ZipfSampler::sample_many_into`].
-    pub fn sample_many<R: Rng>(&self, rng: &mut R, count: usize) -> Vec<usize> {
-        let mut out = vec![0usize; count];
-        self.sample_many_into(rng, &mut out);
-        out
-    }
-
     /// Probability mass of a rank.
     pub fn probability(&self, rank: usize) -> f64 {
         if rank >= self.cumulative.len() {
@@ -158,9 +151,6 @@ mod tests {
         let zipf = ZipfSampler::new(200, 1.2);
         let mut serial_rng = StdRng::seed_from_u64(23);
         let serial: Vec<usize> = (0..500).map(|_| zipf.sample(&mut serial_rng)).collect();
-        let mut bulk_rng = StdRng::seed_from_u64(23);
-        let bulk = zipf.sample_many(&mut bulk_rng, 500);
-        assert_eq!(serial, bulk);
         let mut into_rng = StdRng::seed_from_u64(23);
         let mut out = vec![0usize; 500];
         zipf.sample_many_into(&mut into_rng, &mut out);

@@ -20,7 +20,7 @@ use crate::wire::Wire;
 
 /// Figures of merit of one complete accumulation through an adder tree.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdderTreeFom {
+pub(crate) struct AdderTreeFom {
     /// Energy of one full accumulation in picojoules.
     pub energy_pj: f64,
     /// Latency of one full accumulation in nanoseconds.
@@ -42,7 +42,7 @@ pub struct AdderTreeFom {
 /// expensive than the intra-mat tree (whose leaves are single CMAs), exactly the relation
 /// Table II of the paper shows.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AdderTreeModel {
+pub(crate) struct AdderTreeModel {
     tech: TechnologyParams,
     /// Word width in bits (256 for iMARS: 32 dimensions × int8).
     width_bits: usize,
@@ -111,23 +111,13 @@ impl AdderTreeModel {
         Self::new(tech, 256, 4, mat_width_um, ibc_beats.max(1))
     }
 
-    /// Word width in bits.
-    pub fn width_bits(&self) -> usize {
-        self.width_bits
-    }
-
-    /// Fan-in (number of operands accumulated per pass).
-    pub fn fan_in(&self) -> usize {
-        self.fan_in
-    }
-
     /// Number of two-input adders needed to reduce `fan_in` operands to one.
-    pub fn adder_nodes(&self) -> usize {
+    pub(crate) fn adder_nodes(&self) -> usize {
         self.fan_in - 1
     }
 
     /// Tree depth in levels (`ceil(log2(fan_in))`).
-    pub fn levels(&self) -> usize {
+    pub(crate) fn levels(&self) -> usize {
         (usize::BITS - (self.fan_in - 1).leading_zeros()) as usize
     }
 
@@ -216,6 +206,7 @@ impl AdderTreeModel {
     /// Functional reference: accumulate a slice of operands exactly (wrapping at the word
     /// width), mirroring what the hardware tree computes. Used by tests and by the fabric
     /// simulator to keep the functional and costed paths consistent.
+    #[cfg(test)]
     pub fn accumulate(&self, operands: &[u64]) -> u64 {
         let mask = if self.width_bits >= 64 {
             u64::MAX

@@ -38,11 +38,6 @@ impl CmaArea {
             + self.cam_periphery_um2
             + self.accumulator_um2
     }
-
-    /// Total CMA area in square millimetres.
-    pub fn total_mm2(&self) -> f64 {
-        self.total_um2() / 1.0e6
-    }
 }
 
 /// Area model covering CMAs, crossbars and the near-memory logic.
@@ -85,7 +80,7 @@ impl AreaModel {
     }
 
     /// Area of an adder tree with the given fan-in and word width, in µm².
-    pub fn adder_tree(&self, fan_in: usize, width_bits: usize) -> f64 {
+    pub(crate) fn adder_tree(&self, fan_in: usize, width_bits: usize) -> f64 {
         let adders = fan_in.saturating_sub(1) as f64;
         let levels = if fan_in <= 1 {
             0.0
@@ -142,7 +137,6 @@ mod tests {
             + area.cam_periphery_um2
             + area.accumulator_um2;
         assert!((area.total_um2() - manual).abs() < 1e-9);
-        assert!(area.total_mm2() > 0.0);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::characterization::{ArrayFom, CmaFom, OperationFom};
 use crate::error::DeviceError;
 
 /// Maximum tolerated ratio between a reference value and its analytical counterpart.
-pub const MAX_SCALE: f64 = 5.0;
+pub(crate) const MAX_SCALE: f64 = 5.0;
 
 /// One calibrated quantity: the analytical value, the published reference and the applied
 /// scale factor.
@@ -44,7 +44,8 @@ pub struct CalibrationReport {
 
 impl CalibrationReport {
     /// Largest absolute deviation from unity among all scale factors.
-    pub fn worst_case_scale(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn worst_case_scale(&self) -> f64 {
         self.entries
             .iter()
             .map(|e| {
@@ -64,7 +65,8 @@ impl CalibrationReport {
 
     /// Geometric-mean scale factor across all entries (a single-number summary of how far
     /// the analytical model sits from the reference).
-    pub fn geometric_mean_scale(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn geometric_mean_scale(&self) -> f64 {
         if self.entries.is_empty() {
             return 1.0;
         }
@@ -133,7 +135,7 @@ fn calibrate_op(
 /// Returns [`DeviceError::CalibrationOutOfRange`] if any scale factor falls outside the
 /// guard band `[1/`[`MAX_SCALE`]`, `[`MAX_SCALE`]`]` or if an analytical value is
 /// non-positive.
-pub fn calibrate(
+pub(crate) fn calibrate(
     analytical: &ArrayFom,
     reference: &ArrayFom,
 ) -> Result<(ArrayFom, CalibrationReport), DeviceError> {

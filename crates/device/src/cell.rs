@@ -101,11 +101,6 @@ impl CmaCell {
         self.stored = value;
     }
 
-    /// Stored ternary symbol.
-    pub fn stored(&self) -> TernaryBit {
-        self.stored
-    }
-
     /// RAM-mode read: the binary value stored (a don't-care reads as zero, matching the
     /// behaviour of sensing only the true device).
     pub fn read_bit(&self) -> bool {

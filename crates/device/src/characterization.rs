@@ -21,7 +21,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::adder_tree::AdderTreeModel;
 use crate::calibration::{calibrate, CalibrationReport};
-use crate::cell::CmaCell;
 use crate::crossbar::CrossbarArrayModel;
 use crate::error::DeviceError;
 use crate::sense_amp::{CamSenseAmp, DriverBank, RamSenseAmp};
@@ -158,12 +157,6 @@ impl ArrayCharacterizer {
         self
     }
 
-    /// Override the number of CMAs per mat.
-    pub fn with_cmas_per_mat(mut self, cmas: usize) -> Self {
-        self.cmas_per_mat = cmas.max(2);
-        self
-    }
-
     /// Technology parameters.
     pub fn technology(&self) -> &TechnologyParams {
         &self.tech
@@ -175,20 +168,23 @@ impl ArrayCharacterizer {
     }
 
     /// Width of one CMA macro in micrometres (cell matrix only).
-    pub fn cma_width_um(&self) -> f64 {
+    pub(crate) fn cma_width_um(&self) -> f64 {
         self.cma_geometry.cols as f64 * self.tech.cma_cell_pitch_um
     }
 
     /// Figures of merit of one RAM-mode row write.
     fn characterize_write(&self) -> OperationFom {
         let g = self.cma_geometry;
-        let cell = CmaCell::new(self.tech.clone());
+        // A CMA cell programs its two FeFETs with complementary pulses applied at once;
+        // each pulse charges one ferroelectric gate stack to the write voltage.
+        let tech = &self.tech;
+        let fefet_write_fj = tech.fefet_gate_cap_ff * tech.write_voltage_v * tech.write_voltage_v;
         let drivers = DriverBank::new(self.tech.clone(), g.rows, g.cols);
-        let cell_program_fj = g.cols as f64 * cell.write_energy_fj();
+        let cell_program_fj = g.cols as f64 * (2.0 * fefet_write_fj);
         let wordline_fj = drivers.wordline_activation_energy_fj();
         let bitline_drive_fj = drivers.write_drive_energy_fj();
         let energy_pj = (cell_program_fj + wordline_fj + bitline_drive_fj) / 1000.0;
-        let latency_ns = drivers.wordline_activation_latency_ns() + cell.write_latency_ns();
+        let latency_ns = drivers.wordline_activation_latency_ns() + tech.fefet_write_pulse_ns;
         OperationFom::new(energy_pj, latency_ns)
     }
 

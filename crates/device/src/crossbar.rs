@@ -16,7 +16,7 @@ use crate::wire::Wire;
 
 /// Figures of merit for one matrix-vector multiplication on a crossbar array.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CrossbarFom {
+pub(crate) struct CrossbarFom {
     /// Energy of one full MVM in picojoules.
     pub energy_pj: f64,
     /// Latency of one full MVM in nanoseconds.
@@ -27,7 +27,7 @@ pub struct CrossbarFom {
 
 /// Device-level crossbar array model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CrossbarArrayModel {
+pub(crate) struct CrossbarArrayModel {
     tech: TechnologyParams,
     rows: usize,
     cols: usize,
@@ -83,18 +83,9 @@ impl CrossbarArrayModel {
 
     /// The paper's design point: a 256×128 crossbar with 8-bit activations and a 5-bit
     /// column ADC.
+    #[cfg(test)]
     pub fn paper_design_point(tech: TechnologyParams) -> Self {
         Self::new(tech, 256, 128, 8, 5).expect("paper design point parameters are valid")
-    }
-
-    /// Number of rows (inputs).
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns (outputs).
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Energy of a single wordline (row) activation event, in femtojoules: DAC/driver plus
@@ -131,7 +122,7 @@ impl CrossbarArrayModel {
     }
 
     /// Figures of merit of one full matrix-vector multiplication over the whole array.
-    pub fn matmul_fom(&self) -> CrossbarFom {
+    pub(crate) fn matmul_fom(&self) -> CrossbarFom {
         let row_events = self.rows as f64;
         let energy_fj = row_events * self.row_event_energy_fj()
             + self.cols as f64 * self.adc_conversion_energy_fj()
@@ -151,7 +142,8 @@ impl CrossbarArrayModel {
     /// Functional reference of the analog MVM: `y = W^T x` with weights and activations in
     /// normalized floating point. The fabric-level simulator uses integer fixed-point; this
     /// reference documents the ideal analog computation the array approximates.
-    pub fn ideal_matmul(
+    #[cfg(test)]
+    pub(crate) fn ideal_matmul(
         &self,
         weights: &[Vec<f64>],
         input: &[f64],

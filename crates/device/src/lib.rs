@@ -29,20 +29,21 @@
 
 #![forbid(unsafe_code)]
 
-pub mod adder_tree;
+pub(crate) mod adder_tree;
 pub mod area;
 pub mod calibration;
-pub mod cell;
+#[cfg(test)]
+mod cell;
 pub mod characterization;
-pub mod crossbar;
+pub(crate) mod crossbar;
 pub mod error;
-pub mod fefet;
-pub mod sense_amp;
+#[cfg(test)]
+mod fefet;
+pub(crate) mod sense_amp;
 pub mod technology;
 pub mod wire;
 
 pub use calibration::CalibrationReport;
 pub use characterization::{ArrayCharacterizer, ArrayFom, OperationFom};
 pub use error::DeviceError;
-pub use fefet::{FeFet, FeFetState, PolarizationPulse};
 pub use technology::TechnologyParams;

@@ -16,7 +16,7 @@ use crate::wire::{ArrayWires, Wire};
 
 /// Voltage-mode sense amplifier used for RAM-mode reads and GPCiM logic outputs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RamSenseAmp {
+pub(crate) struct RamSenseAmp {
     tech: TechnologyParams,
 }
 
@@ -27,13 +27,13 @@ impl RamSenseAmp {
     }
 
     /// Energy of resolving one bitline, including bitline precharge, in femtojoules.
-    pub fn sense_energy_fj(&self, bitline: &Wire) -> f64 {
+    pub(crate) fn sense_energy_fj(&self, bitline: &Wire) -> f64 {
         let precharge = bitline.transition(&self.tech, self.tech.vdd_v * 0.5);
         self.tech.ram_sense_amp_energy_fj + precharge.energy_fj
     }
 
     /// Latency of resolving one bitline, including bitline development, in nanoseconds.
-    pub fn sense_latency_ns(&self, bitline: &Wire) -> f64 {
+    pub(crate) fn sense_latency_ns(&self, bitline: &Wire) -> f64 {
         let develop = bitline.transition(&self.tech, self.tech.vdd_v * 0.1);
         self.tech.ram_sense_amp_latency_ns + develop.delay_ns
     }
@@ -42,7 +42,7 @@ impl RamSenseAmp {
 /// Current-mode sense amplifier with a programmable dummy-cell reference, used for
 /// threshold (fixed-radius) matching in TCAM mode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CamSenseAmp {
+pub(crate) struct CamSenseAmp {
     tech: TechnologyParams,
     /// Hamming-distance threshold the reference current is programmed to. A row whose
     /// number of mismatching cells is less than or equal to this threshold reports a match.
@@ -60,11 +60,13 @@ impl CamSenseAmp {
 
     /// Program the dummy-cell reference so rows with at most `threshold` mismatching cells
     /// report a match (fixed-radius near-neighbour search).
-    pub fn set_threshold(&mut self, threshold: usize) {
+    #[cfg(test)]
+    pub(crate) fn set_threshold(&mut self, threshold: usize) {
         self.threshold_mismatches = threshold;
     }
 
     /// Currently programmed mismatch threshold.
+    #[cfg(test)]
     pub fn threshold(&self) -> usize {
         self.threshold_mismatches
     }
@@ -73,25 +75,27 @@ impl CamSenseAmp {
     ///
     /// The reference sits half a cell-current above the threshold count so that the
     /// comparison has symmetric margin.
-    pub fn reference_current_ua(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn reference_current_ua(&self) -> f64 {
         (self.threshold_mismatches as f64 + 0.5) * self.tech.fefet_on_current_ua
     }
 
     /// Decide whether a row with `mismatches` mismatching cells matches under the
     /// programmed threshold, given the per-cell mismatch current.
-    pub fn resolves_match(&self, mismatches: usize) -> bool {
+    #[cfg(test)]
+    pub(crate) fn resolves_match(&self, mismatches: usize) -> bool {
         let row_current = mismatches as f64 * self.tech.fefet_on_current_ua;
         row_current < self.reference_current_ua()
     }
 
     /// Energy of one matchline evaluation (precharge plus current comparison), in fJ.
-    pub fn sense_energy_fj(&self, matchline: &Wire) -> f64 {
+    pub(crate) fn sense_energy_fj(&self, matchline: &Wire) -> f64 {
         let precharge = matchline.transition(&self.tech, self.tech.vdd_v);
         self.tech.cam_sense_amp_energy_fj + precharge.energy_fj
     }
 
     /// Latency of one matchline evaluation, in nanoseconds.
-    pub fn sense_latency_ns(&self, matchline: &Wire) -> f64 {
+    pub(crate) fn sense_latency_ns(&self, matchline: &Wire) -> f64 {
         let discharge = matchline.transition(&self.tech, self.tech.vdd_v * 0.3);
         self.tech.cam_sense_amp_latency_ns + discharge.delay_ns
     }
@@ -99,7 +103,7 @@ impl CamSenseAmp {
 
 /// Searchline / wordline / bitline driver bank for an array of a given geometry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DriverBank {
+pub(crate) struct DriverBank {
     tech: TechnologyParams,
     wires: ArrayWires,
 }
@@ -115,34 +119,28 @@ impl DriverBank {
 
     /// Energy of broadcasting a query on all searchlines (one per column, true and
     /// complement rails), in femtojoules.
-    pub fn search_broadcast_energy_fj(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn search_broadcast_energy_fj(&self) -> f64 {
         let sl = self.wires.searchline(&self.tech);
         // Two rails (true + complement) per column; on average half of them switch.
         let per_line = sl.transition(&self.tech, self.tech.vdd_v).energy_fj;
         self.wires.cols as f64 * per_line
     }
 
-    /// Latency of broadcasting a query on the searchlines, in nanoseconds (lines switch in
-    /// parallel, so this is a single line's delay plus the driver logic).
-    pub fn search_broadcast_latency_ns(&self) -> f64 {
-        let sl = self.wires.searchline(&self.tech);
-        sl.transition(&self.tech, self.tech.vdd_v).delay_ns + self.tech.logic_gate_delay_ns
-    }
-
     /// Energy of activating one wordline (decoder plus wordline swing), in femtojoules.
-    pub fn wordline_activation_energy_fj(&self) -> f64 {
+    pub(crate) fn wordline_activation_energy_fj(&self) -> f64 {
         let wl = self.wires.wordline(&self.tech);
         self.tech.decoder_energy_fj + wl.transition(&self.tech, self.tech.vdd_v).energy_fj
     }
 
     /// Latency of activating one wordline, in nanoseconds.
-    pub fn wordline_activation_latency_ns(&self) -> f64 {
+    pub(crate) fn wordline_activation_latency_ns(&self) -> f64 {
         let wl = self.wires.wordline(&self.tech);
         self.tech.decoder_delay_ns + wl.transition(&self.tech, self.tech.vdd_v).delay_ns
     }
 
     /// Energy of driving all bitlines to the write voltage for a row write, in fJ.
-    pub fn write_drive_energy_fj(&self) -> f64 {
+    pub(crate) fn write_drive_energy_fj(&self) -> f64 {
         let bl = self.wires.bitline(&self.tech);
         self.wires.cols as f64
             * bl.transition(&self.tech, self.tech.write_voltage_v)
@@ -151,6 +149,7 @@ impl DriverBank {
     }
 
     /// Array geometry served by this driver bank.
+    #[cfg(test)]
     pub fn geometry(&self) -> (usize, usize) {
         (self.wires.rows, self.wires.cols)
     }

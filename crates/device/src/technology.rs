@@ -181,12 +181,14 @@ impl TechnologyParams {
 
     /// Threshold-voltage memory window of the FeFET (difference between the programmed
     /// and erased threshold voltages).
-    pub fn memory_window_v(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn memory_window_v(&self) -> f64 {
         self.fefet_vth_high_v - self.fefet_vth_low_v
     }
 
     /// On/off drain-current ratio of the FeFET at nominal read bias.
-    pub fn on_off_ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn on_off_ratio(&self) -> f64 {
         if self.fefet_off_current_ua <= 0.0 {
             f64::INFINITY
         } else {

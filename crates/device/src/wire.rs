@@ -24,7 +24,7 @@ pub struct Wire {
 
 /// Energy/delay figures for one full-swing transition of a [`Wire`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WireTransition {
+pub(crate) struct WireTransition {
     /// Switching energy in femtojoules.
     pub energy_fj: f64,
     /// Elmore delay in nanoseconds.
@@ -44,12 +44,12 @@ impl Wire {
     }
 
     /// Wire self-capacitance given the technology's per-micrometre capacitance, in fF.
-    pub fn wire_cap_ff(&self, tech: &TechnologyParams) -> f64 {
+    pub(crate) fn wire_cap_ff(&self, tech: &TechnologyParams) -> f64 {
         tech.wire_cap_ff_per_um * self.length_um
     }
 
     /// Wire resistance given the technology's per-micrometre resistance, in kΩ.
-    pub fn wire_res_kohm(&self, tech: &TechnologyParams) -> f64 {
+    pub(crate) fn wire_res_kohm(&self, tech: &TechnologyParams) -> f64 {
         tech.wire_res_kohm_per_um * self.length_um
     }
 
@@ -57,7 +57,7 @@ impl Wire {
     ///
     /// Energy: `C_total · V²` (fF·V² = fJ). Delay: Elmore delay of the driver resistance
     /// into the distributed wire plus the lumped load (kΩ·fF = ps, converted to ns).
-    pub fn transition(&self, tech: &TechnologyParams, swing_v: f64) -> WireTransition {
+    pub(crate) fn transition(&self, tech: &TechnologyParams, swing_v: f64) -> WireTransition {
         let c_wire = self.wire_cap_ff(tech);
         let r_wire = self.wire_res_kohm(tech);
         let c_total = c_wire + self.load_cap_ff;
@@ -74,7 +74,7 @@ impl Wire {
 
 /// Convenience constructors for the standard array wires of a CMA of a given geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ArrayWires {
+pub(crate) struct ArrayWires {
     /// Number of rows in the array.
     pub rows: usize,
     /// Number of columns in the array.
@@ -103,7 +103,8 @@ impl ArrayWires {
 
     /// A searchline spans all rows (it drives the query bit into one column of TCAM
     /// cells) and is loaded by two FeFET gates per cell.
-    pub fn searchline(&self, tech: &TechnologyParams) -> Wire {
+    #[cfg(test)]
+    pub(crate) fn searchline(&self, tech: &TechnologyParams) -> Wire {
         let length = self.rows as f64 * tech.cma_cell_pitch_um;
         let load = self.rows as f64 * 2.0 * tech.fefet_gate_cap_ff;
         Wire::new(length, load, 1.5)
@@ -111,7 +112,7 @@ impl ArrayWires {
 
     /// A matchline spans all columns of one row and is loaded by two FeFET drain
     /// junctions per cell.
-    pub fn matchline(&self, tech: &TechnologyParams) -> Wire {
+    pub(crate) fn matchline(&self, tech: &TechnologyParams) -> Wire {
         let length = self.cols as f64 * tech.cma_cell_pitch_um;
         let load = self.cols as f64 * 2.0 * tech.fefet_drain_cap_ff;
         Wire::new(length, load, 0.8)

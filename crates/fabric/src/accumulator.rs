@@ -90,7 +90,8 @@ impl GpcimAccumulator {
     /// for a chain of `rows` int8 rows: zero while the exact sum cannot leave the
     /// representable range (the positive extreme is `127·rows`, the negative
     /// `−128·rows`), growing linearly once either side clips.
-    pub fn worst_case_pooling_error(&self, rows: usize) -> i64 {
+    #[cfg(test)]
+    pub(crate) fn worst_case_pooling_error(&self, rows: usize) -> i64 {
         let positive_excess = 127i64 * rows as i64 - self.max() as i64;
         let negative_excess = 128i64 * rows as i64 + self.min() as i64;
         positive_excess.max(negative_excess).max(0)

@@ -65,11 +65,6 @@ impl CmaBank {
         self.mats.len()
     }
 
-    /// Embedding dimensionality stored per row.
-    pub fn embedding_dim(&self) -> usize {
-        self.embedding_dim
-    }
-
     /// Access a mat by index.
     ///
     /// # Errors

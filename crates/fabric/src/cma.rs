@@ -43,7 +43,7 @@ pub fn unpack_embedding(words: &[u64], dim: usize) -> Vec<i8> {
 
 /// Unpack int8 embedding elements into a caller-provided buffer (one element per output
 /// slot), with no allocation. Words beyond the input read as zero.
-pub fn unpack_embedding_into(words: &[u64], out: &mut [i8]) {
+pub(crate) fn unpack_embedding_into(words: &[u64], out: &mut [i8]) {
     for (i, slot) in out.iter_mut().enumerate() {
         let word = words.get(i / 8).copied().unwrap_or(0);
         *slot = ((word >> ((i % 8) * 8)) & 0xFF) as u8 as i8;
@@ -213,7 +213,7 @@ impl PackedTable {
 }
 
 /// Number of 64-bit words needed to hold `bits` bits.
-pub fn words_for_bits(bits: usize) -> usize {
+pub(crate) fn words_for_bits(bits: usize) -> usize {
     bits.div_ceil(64)
 }
 
@@ -297,7 +297,8 @@ impl CmaArray {
     }
 
     /// Number of rows that currently hold data.
-    pub fn occupied_rows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn occupied_rows(&self) -> usize {
         self.occupied
     }
 
@@ -420,7 +421,12 @@ impl CmaArray {
     ///
     /// Returns [`FabricError::RowOutOfRange`] if the row is outside the array and
     /// [`FabricError::DimensionMismatch`] if `dim` elements do not fit in a row.
-    pub fn read_embedding(&self, row: usize, dim: usize) -> Result<Outcome<Vec<i8>>, FabricError> {
+    #[cfg(test)]
+    pub(crate) fn read_embedding(
+        &self,
+        row: usize,
+        dim: usize,
+    ) -> Result<Outcome<Vec<i8>>, FabricError> {
         if dim * 8 > self.cols {
             return Err(FabricError::DimensionMismatch {
                 expected: self.cols / 8,
@@ -674,7 +680,8 @@ impl CmaArray {
 
     /// Hamming distances of every valid row to the query (software reference used by the
     /// accuracy experiments and by tests to cross-check the TCAM threshold semantics).
-    pub fn distances(&self, query: &[u64]) -> Vec<(usize, u32)> {
+    #[cfg(test)]
+    pub(crate) fn distances(&self, query: &[u64]) -> Vec<(usize, u32)> {
         simd::scan_distances(&self.bit_rows(), query)
     }
 }

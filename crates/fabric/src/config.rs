@@ -130,19 +130,9 @@ impl FabricConfig {
         Ok(())
     }
 
-    /// Total number of CMAs in the fabric.
-    pub fn total_cmas(&self) -> usize {
-        self.banks * self.mats_per_bank * self.cmas_per_mat
-    }
-
     /// Number of embedding rows one CMA can hold.
     pub fn rows_per_cma(&self) -> usize {
         self.cma_rows
-    }
-
-    /// Total embedding-row capacity of one bank.
-    pub fn rows_per_bank(&self) -> usize {
-        self.mats_per_bank * self.cmas_per_mat * self.cma_rows
     }
 
     /// Bits of one packed embedding row.
@@ -178,8 +168,6 @@ mod tests {
     #[test]
     fn capacity_helpers() {
         let c = FabricConfig::paper_design_point();
-        assert_eq!(c.total_cmas(), 32 * 4 * 32);
-        assert_eq!(c.rows_per_bank(), 4 * 32 * 256);
         assert_eq!(c.embedding_bits(), 256);
     }
 

@@ -193,7 +193,7 @@ impl<T> Outcome<T> {
     }
 
     /// Create an outcome from an explicit cost and breakdown.
-    pub fn with_breakdown(value: T, cost: Cost, breakdown: CostBreakdown) -> Self {
+    pub(crate) fn with_breakdown(value: T, cost: Cost, breakdown: CostBreakdown) -> Self {
         Self {
             value,
             cost,

@@ -14,12 +14,15 @@ use serde::{Deserialize, Serialize};
 
 use imars_device::characterization::ArrayFom;
 
+#[cfg(test)]
 use crate::cost::{Cost, CostBreakdown, CostComponent, Outcome};
+#[cfg(test)]
 use crate::error::FabricError;
 
 /// One crossbar array holding a `rows × cols` tile of a layer's weight matrix.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CrossbarArray {
+pub(crate) struct CrossbarArray {
     rows: usize,
     cols: usize,
     fom: ArrayFom,
@@ -27,6 +30,7 @@ pub struct CrossbarArray {
     weights: Vec<Vec<f32>>,
 }
 
+#[cfg(test)]
 impl CrossbarArray {
     /// Create an array with all-zero weights.
     pub fn new(rows: usize, cols: usize, fom: ArrayFom) -> Self {
@@ -53,7 +57,10 @@ impl CrossbarArray {
     /// # Errors
     ///
     /// Returns [`FabricError::DimensionMismatch`] if the tile is larger than the array.
-    pub fn program_weights(&mut self, tile: &[Vec<f32>]) -> Result<Outcome<()>, FabricError> {
+    pub(crate) fn program_weights(
+        &mut self,
+        tile: &[Vec<f32>],
+    ) -> Result<Outcome<()>, FabricError> {
         if tile.len() > self.rows {
             return Err(FabricError::DimensionMismatch {
                 expected: self.rows,
@@ -135,7 +142,8 @@ impl CrossbarBank {
     }
 
     /// Geometry of one array in the bank.
-    pub fn array_geometry(&self) -> (usize, usize) {
+    #[cfg(test)]
+    pub(crate) fn array_geometry(&self) -> (usize, usize) {
         (self.array_rows, self.array_cols)
     }
 
@@ -155,7 +163,8 @@ impl CrossbarBank {
     ///
     /// Returns [`FabricError::DimensionMismatch`] if `input` does not have `inputs`
     /// elements or the weight matrix is ragged.
-    pub fn forward_layer(
+    #[cfg(test)]
+    pub(crate) fn forward_layer(
         &self,
         weights: &[Vec<f32>],
         input: &[f32],
@@ -211,7 +220,8 @@ impl CrossbarBank {
     /// # Errors
     ///
     /// Propagates layer-level shape errors.
-    pub fn forward_mlp(
+    #[cfg(test)]
+    pub(crate) fn forward_mlp(
         &self,
         layers: &[Vec<Vec<f32>>],
         input: &[f32],

@@ -25,12 +25,12 @@ impl RscBus {
     }
 
     /// Number of beats needed to move `bits` bits.
-    pub fn beats_for_bits(&self, bits: usize) -> usize {
+    pub(crate) fn beats_for_bits(&self, bits: usize) -> usize {
         bits.div_ceil(self.params.rsc_width_bits).max(1)
     }
 
     /// Cost of transferring `bits` bits over the serialized bus.
-    pub fn transfer_bits(&self, bits: usize) -> Outcome<usize> {
+    pub(crate) fn transfer_bits(&self, bits: usize) -> Outcome<usize> {
         let beats = self.beats_for_bits(bits);
         let cost = Cost::new(
             self.params.rsc_beat_energy_pj * beats as f64,
@@ -85,7 +85,7 @@ impl IbcNetwork {
     }
 
     /// Number of beats needed to move `bytes` bytes.
-    pub fn beats_for_bytes(&self, bytes: usize) -> usize {
+    pub(crate) fn beats_for_bytes(&self, bytes: usize) -> usize {
         bytes.div_ceil(self.params.ibc_bytes_per_beat).max(1)
     }
 
@@ -101,7 +101,12 @@ impl IbcNetwork {
 
     /// Cost of gathering `mat_outputs` 256-bit mat outputs for intra-bank accumulation.
     /// Four outputs fit in one 128-byte beat, matching the adder-tree fan-in.
-    pub fn gather_mat_outputs(&self, mat_outputs: usize, output_bits: usize) -> Outcome<usize> {
+    #[cfg(test)]
+    pub(crate) fn gather_mat_outputs(
+        &self,
+        mat_outputs: usize,
+        output_bits: usize,
+    ) -> Outcome<usize> {
         let bytes = mat_outputs * output_bits.div_ceil(8);
         self.transfer_bytes(bytes)
     }

@@ -7,13 +7,8 @@
 //!   operated in RAM mode (row read/write), TCAM mode (threshold Hamming search) and
 //!   GPCiM mode (in-memory row accumulation), with every operation charged the
 //!   corresponding array-level figure of merit;
-//! * [`mat::Mat`] and [`bank::CmaBank`] — the two-level hierarchy (C CMAs per mat, M mats
-//!   per bank) with the intra-mat and intra-bank adder trees and the serialized IBC
-//!   network between them;
-//! * [`crossbar::CrossbarBank`] — the crossbar arrays executing the fully connected DNN
-//!   layers;
-//! * [`interconnect`] and [`controller`] — the RSC bus, IBC network and the counter-based
-//!   controller that orders mat outputs into groups matching the intra-bank adder fan-in;
+//! * [`CrossbarBank`] — the crossbar arrays executing the fully connected DNN layers;
+//! * [`interconnect`] — the RSC bus and the IBC network between mats;
 //! * [`cost`] — energy/latency accounting shared by every component;
 //! * [`simd`] — the workspace's one SIMD dispatch, the int8 pooling kernels and the TCAM
 //!   threshold scan.
@@ -40,21 +35,23 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod accumulator;
-pub mod bank;
+#[cfg(test)]
+mod bank;
 pub mod cma;
 pub mod config;
-pub mod controller;
+#[cfg(test)]
+mod controller;
 pub mod cost;
-pub mod crossbar;
+pub(crate) mod crossbar;
 pub mod error;
 pub mod interconnect;
-pub mod mat;
+#[cfg(test)]
+mod mat;
 pub mod simd;
 
 pub use accumulator::GpcimAccumulator;
-pub use bank::CmaBank;
 pub use cma::{CmaArray, PackedTable};
 pub use config::FabricConfig;
 pub use cost::{Cost, CostBreakdown, CostComponent, Outcome};
-pub use crossbar::{CrossbarArray, CrossbarBank};
+pub use crossbar::CrossbarBank;
 pub use error::FabricError;

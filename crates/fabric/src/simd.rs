@@ -472,6 +472,7 @@ pub(crate) fn scan_counts(
 /// The distance of `query` to every written row, in ascending row order — the software
 /// reference the threshold semantics are checked against, so it runs the baseline
 /// instantiation of the same tile reader at every dispatch level.
+#[cfg(test)]
 pub(crate) fn scan_distances(rows: &BitRows<'_>, query: &[u64]) -> Vec<(usize, u32)> {
     let mut distances = Vec::new();
     for tile in rows.tiles() {

@@ -50,7 +50,7 @@ pub struct TableAccess {
 /// The dominant terms at batch size 1 are two kernel launches (gather + pooling) and a
 /// fixed dispatch cost per distinct table, matching the per-table growth visible across
 /// the three Table III workloads.
-pub fn embedding_lookup(specs: &GpuSpecs, tables: &[TableAccess], dim: usize) -> GpuCost {
+pub(crate) fn embedding_lookup(specs: &GpuSpecs, tables: &[TableAccess], dim: usize) -> GpuCost {
     let launches = 2.0;
     let total_lookups: usize = tables.iter().map(|t| t.lookups).sum();
     let gathered_bytes = (total_lookups * dim * 4) as f64;
@@ -84,7 +84,7 @@ pub fn nns_cosine(specs: &GpuSpecs, items: usize, dim: usize) -> GpuCost {
 
 /// LSH Hamming nearest-neighbour search over `items` signatures of `signature_bits` bits:
 /// XOR + popcount plus a top-k reduction (two launches).
-pub fn nns_lsh_hamming(specs: &GpuSpecs, items: usize, signature_bits: usize) -> GpuCost {
+pub(crate) fn nns_lsh_hamming(specs: &GpuSpecs, items: usize, signature_bits: usize) -> GpuCost {
     let launches = 2.0;
     let signature_bytes = (items * signature_bits / 8) as f64;
     let flops = (items * signature_bits / 32) as f64;
@@ -101,7 +101,11 @@ pub fn nns_lsh_hamming(specs: &GpuSpecs, items: usize, signature_bits: usize) ->
 /// Fully connected DNN stack with the given `(inputs, outputs)` layer shapes, evaluated
 /// for a batch of `batch` inputs. One launch per layer; compute and weight traffic scale
 /// with the batch and layer sizes.
-pub fn mlp_forward(specs: &GpuSpecs, layer_shapes: &[(usize, usize)], batch: usize) -> GpuCost {
+pub(crate) fn mlp_forward(
+    specs: &GpuSpecs,
+    layer_shapes: &[(usize, usize)],
+    batch: usize,
+) -> GpuCost {
     let launches = layer_shapes.len() as f64;
     let weight_bytes: f64 = layer_shapes.iter().map(|&(i, o)| (i * o * 4) as f64).sum();
     let flops: f64 = layer_shapes

@@ -93,7 +93,7 @@ pub struct StageBreakdown {
 
 impl StageBreakdown {
     /// Total stage latency in µs.
-    pub fn total_us(&self) -> f64 {
+    pub(crate) fn total_us(&self) -> f64 {
         self.operations.iter().map(|(_, t)| t).sum()
     }
 
@@ -149,7 +149,7 @@ impl GpuModel {
     }
 
     /// DNN-stack cost for the given layer shapes at the given batch size.
-    pub fn dnn_stack(&self, layer_shapes: &[(usize, usize)], batch: usize) -> GpuCost {
+    pub(crate) fn dnn_stack(&self, layer_shapes: &[(usize, usize)], batch: usize) -> GpuCost {
         kernels::mlp_forward(&self.specs, layer_shapes, batch)
     }
 

@@ -41,17 +41,17 @@ impl GpuSpecs {
     }
 
     /// Time to move `bytes` bytes of contiguous data at peak DRAM bandwidth, in µs.
-    pub fn streaming_time_us(&self, bytes: f64) -> f64 {
+    pub(crate) fn streaming_time_us(&self, bytes: f64) -> f64 {
         bytes / (self.dram_bandwidth_gbps * 1.0e9) * 1.0e6
     }
 
     /// Time to gather `bytes` bytes with scattered accesses, in µs.
-    pub fn gather_time_us(&self, bytes: f64) -> f64 {
+    pub(crate) fn gather_time_us(&self, bytes: f64) -> f64 {
         self.streaming_time_us(bytes) / self.random_access_efficiency.max(1e-6)
     }
 
     /// Time to execute `flops` floating-point operations at peak throughput, in µs.
-    pub fn compute_time_us(&self, flops: f64) -> f64 {
+    pub(crate) fn compute_time_us(&self, flops: f64) -> f64 {
         flops / (self.peak_gflops * 1.0e9) * 1.0e6
     }
 

@@ -15,7 +15,6 @@
 //! [`EmbeddingTable::into_arena`]: crate::embedding::EmbeddingTable::into_arena
 //! [`QuantizedTable::into_arena`]: crate::quantization::QuantizedTable::into_arena
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use crate::embedding::RowIndex;
@@ -37,7 +36,7 @@ impl<T: Copy> RowArena<T> {
     ///
     /// Returns [`RecsysError::InvalidConfig`] if `dim` is zero or `data.len()` is not a
     /// multiple of `dim`.
-    pub fn from_vec(data: Vec<T>, dim: usize) -> Result<Self, RecsysError> {
+    pub(crate) fn from_vec(data: Vec<T>, dim: usize) -> Result<Self, RecsysError> {
         if dim == 0 {
             return Err(RecsysError::InvalidConfig {
                 reason: "row arena dim must be nonzero".to_string(),
@@ -113,16 +112,6 @@ impl<T: Copy> RowArena<T> {
         &self.data[index * self.dim..(index + 1) * self.dim]
     }
 
-    /// Borrow a contiguous range of rows as one row-major slice — a shard view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the table.
-    #[inline]
-    pub fn rows_slice(&self, range: Range<usize>) -> &[T] {
-        &self.data[range.start * self.dim..range.end * self.dim]
-    }
-
     /// Validate that every index addresses a valid row.
     ///
     /// # Errors
@@ -195,7 +184,6 @@ mod tests {
         let arena = RowArena::from_rows(rows.iter().map(|r| r.as_slice()), 3).unwrap();
         assert_eq!(arena.row(0), &[1, 2, 3]);
         assert_eq!(arena.row(1), &[4, 5, 6]);
-        assert_eq!(arena.rows_slice(0..2), &[1, 2, 3, 4, 5, 6]);
         let ragged: Vec<Vec<i8>> = vec![vec![1, 2, 3], vec![4]];
         assert!(RowArena::from_rows(ragged.iter().map(|r| r.as_slice()), 3).is_err());
     }

@@ -7,7 +7,7 @@
 //!   buffer plus per-request offsets), the input format of
 //!   [`EmbeddingTable::gather_pool_batch`](crate::embedding::EmbeddingTable::gather_pool_batch);
 //! * [`PoolingMode`] — sum versus mean pooling;
-//! * [`par_chunks`] / [`par_runs`] / [`par_elements`] — scoped-thread helpers that fan
+//! * [`par_chunks`] / [`par_runs`] — scoped-thread helpers that fan
 //!   a batch out across CPU cores in contiguous runs, one per worker, writing into
 //!   caller-provided output slices;
 //! * [`par_map`] — the same fan-out for a handful of unequal jobs, which workers claim
@@ -134,11 +134,6 @@ impl PoolingBatch {
     pub fn offsets(&self) -> &[usize] {
         &self.offsets
     }
-
-    /// The largest index referenced by any request (`None` for an all-empty batch).
-    pub fn max_index(&self) -> Option<u32> {
-        self.indices.iter().copied().max()
-    }
 }
 
 impl Default for PoolingBatch {
@@ -159,7 +154,7 @@ fn cores() -> usize {
 /// Number of worker threads to use for `tasks` independent tasks: one per core, never
 /// more than the task count, and serial when the batch is too small to amortize a spawn.
 #[inline]
-pub fn worker_count(tasks: usize) -> usize {
+pub(crate) fn worker_count(tasks: usize) -> usize {
     const MIN_TASKS_PER_WORKER: usize = 8;
     cores().min(tasks / MIN_TASKS_PER_WORKER).max(1)
 }
@@ -276,20 +271,6 @@ where
     });
 }
 
-/// Process the elements of `out` on scoped worker threads: `f(i, &mut out[i])` for every
-/// `i`, with contiguous runs per worker so placement is deterministic.
-pub fn par_elements<T, F>(out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    par_runs(out, |first, run| {
-        for (i, element) in run.iter_mut().enumerate() {
-            f(first + i, element);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,12 +293,7 @@ mod tests {
         assert_eq!(batch.request(0), &[1, 2]);
         assert_eq!(batch.request(1), &[] as &[u32]);
         assert_eq!(batch.request(2), &[7, 8, 9]);
-        assert_eq!(batch.max_index(), Some(9));
         assert_eq!(PoolingBatch::from_requests::<Vec<u32>>(&[]).len(), 0);
-        assert_eq!(
-            PoolingBatch::from_requests::<Vec<u32>>(&[]).max_index(),
-            None
-        );
     }
 
     #[test]
@@ -354,13 +330,6 @@ mod tests {
             .flat_map(|i| std::iter::repeat_n(i as f32, dim))
             .collect();
         assert_eq!(parallel_out, expected);
-    }
-
-    #[test]
-    fn par_elements_matches_serial_placement() {
-        let mut out = vec![0usize; 1000];
-        par_elements(&mut out, |i, slot| *slot = i * 3);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
     }
 
     #[test]

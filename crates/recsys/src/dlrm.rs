@@ -114,7 +114,7 @@ impl DlrmConfig {
     }
 
     /// Width of the top MLP input: the dense embedding concatenated with the interactions.
-    pub fn top_input_width(&self) -> usize {
+    pub(crate) fn top_input_width(&self) -> usize {
         self.embedding_dim + self.interaction_count()
     }
 }
@@ -563,7 +563,8 @@ impl Dlrm {
     }
 
     /// Total parameter count across embeddings and both MLPs.
-    pub fn parameter_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parameter_count(&self) -> usize {
         self.embedding_tables
             .iter()
             .map(EmbeddingTable::parameter_count)

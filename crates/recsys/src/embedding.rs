@@ -221,7 +221,7 @@ impl EmbeddingTable {
     /// # Errors
     ///
     /// As for [`EmbeddingTable::pool_into`].
-    pub fn pool_mean_into<I: RowIndex>(
+    pub(crate) fn pool_mean_into<I: RowIndex>(
         &self,
         indices: &[I],
         out: &mut [f32],
@@ -326,7 +326,7 @@ impl EmbeddingTable {
     ///
     /// Returns [`RecsysError::IndexOutOfRange`] if `index` is out of range or
     /// [`RecsysError::ShapeMismatch`] if the gradient has the wrong length.
-    pub fn sgd_update(
+    pub(crate) fn sgd_update(
         &mut self,
         index: usize,
         gradient: &[f32],
@@ -352,7 +352,8 @@ impl EmbeddingTable {
     }
 
     /// The full parameter count of the table.
-    pub fn parameter_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parameter_count(&self) -> usize {
         self.rows * self.dim
     }
 

@@ -26,7 +26,7 @@
 //!   signatures the TCAM search operates on;
 //! * [`nns`] — exact cosine / dot-product nearest-neighbour search (the software
 //!   baseline) and fixed-radius Hamming search (the IMC-friendly replacement);
-//! * [`topk`], [`metrics`] — top-k selection and hit-rate evaluation;
+//! * `topk`, [`metrics`] — top-k selection and hit-rate evaluation;
 //! * [`training`] — sampled-softmax / logistic-loss training loops used by the accuracy
 //!   experiments.
 
@@ -37,14 +37,13 @@ pub mod batch;
 pub mod dlrm;
 pub mod embedding;
 pub mod error;
-pub mod features;
 pub mod lsh;
 pub mod metrics;
 pub mod mlp;
 pub mod nns;
 pub mod quantization;
 pub mod simd;
-pub mod topk;
+pub(crate) mod topk;
 pub mod training;
 pub mod youtube_dnn;
 
@@ -53,7 +52,6 @@ pub use batch::{PoolingBatch, PoolingMode};
 pub use dlrm::{Dlrm, DlrmConfig, DlrmScratch};
 pub use embedding::EmbeddingTable;
 pub use error::RecsysError;
-pub use features::{DenseFeatures, SparseFeatures, SparseFieldSpec};
 pub use lsh::RandomHyperplaneLsh;
 pub use mlp::{Mlp, MlpBatchScratch, MlpScratch};
 pub use quantization::{QuantizationParams, QuantizedTable};

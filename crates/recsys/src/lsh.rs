@@ -204,7 +204,8 @@ impl RandomHyperplaneLsh {
 
     /// Expected Hamming distance between the signatures of two vectors at angle `theta`
     /// radians: `bits * theta / pi`. Useful for choosing the fixed radius.
-    pub fn expected_hamming_at_angle(&self, theta: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn expected_hamming_at_angle(&self, theta: f64) -> f64 {
         self.bits as f64 * theta / std::f64::consts::PI
     }
 }

@@ -7,7 +7,7 @@
 //! the extended experiments.
 
 /// Whether the held-out item appears in the candidate list (one user's hit).
-pub fn is_hit(candidates: &[usize], held_out: usize) -> bool {
+pub(crate) fn is_hit(candidates: &[usize], held_out: usize) -> bool {
     candidates.contains(&held_out)
 }
 

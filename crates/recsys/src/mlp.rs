@@ -412,12 +412,12 @@ impl Mlp {
     }
 
     /// Input width expected by the first layer.
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.layers.first().map_or(0, |l| l.inputs)
     }
 
     /// Output width produced by the last layer.
-    pub fn output_dim(&self) -> usize {
+    pub(crate) fn output_dim(&self) -> usize {
         self.layers.last().map_or(0, |l| l.outputs)
     }
 
@@ -433,7 +433,8 @@ impl Mlp {
     }
 
     /// Total trainable parameter count (weights plus biases).
-    pub fn parameter_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parameter_count(&self) -> usize {
         self.layers
             .iter()
             .map(|l| l.weights.len() + l.bias.len())
@@ -612,7 +613,7 @@ impl Mlp {
     ///
     /// Returns [`RecsysError::ShapeMismatch`] if `input` or `grad_output` have the wrong
     /// width.
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         input: &[f32],
         grad_output: &[f32],

@@ -24,7 +24,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Euclidean norm of a vector.
-pub fn norm(a: &[f32]) -> f32 {
+pub(crate) fn norm(a: &[f32]) -> f32 {
     dot(a, a).sqrt()
 }
 
@@ -161,7 +161,7 @@ impl ExactIndex {
     ///
     /// Returns [`RecsysError::ShapeMismatch`] if `queries` is not a whole number of
     /// `dim`-wide rows.
-    pub fn top_k_batch(
+    pub(crate) fn top_k_batch(
         &self,
         queries: &[f32],
         k: usize,
@@ -199,7 +199,8 @@ impl ExactIndex {
     /// # Errors
     ///
     /// Returns [`RecsysError::ShapeMismatch`] for a query of the wrong width.
-    pub fn within_threshold(
+    #[cfg(test)]
+    pub(crate) fn within_threshold(
         &self,
         query: &[f32],
         threshold: f32,

@@ -8,7 +8,7 @@
 /// Return the indices of the `k` highest-scoring entries, highest score first.
 ///
 /// `scored` pairs an identifier with its score. NaN scores rank below every finite score.
-pub fn top_k_by_score(scored: &[(usize, f32)], k: usize) -> Vec<usize> {
+pub(crate) fn top_k_by_score(scored: &[(usize, f32)], k: usize) -> Vec<usize> {
     let mut order: Vec<(usize, f32)> = scored.to_vec();
     order.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
@@ -19,7 +19,8 @@ pub fn top_k_by_score(scored: &[(usize, f32)], k: usize) -> Vec<usize> {
 }
 
 /// Return the indices of the `k` highest values of a score slice (index = position).
-pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
+#[cfg(test)]
+pub(crate) fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
     let scored: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
     top_k_by_score(&scored, k)
 }

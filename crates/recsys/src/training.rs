@@ -58,11 +58,6 @@ pub struct TrainingReport {
 }
 
 impl TrainingReport {
-    /// Loss of the final epoch (`None` before any epoch ran).
-    pub fn final_loss(&self) -> Option<f32> {
-        self.epoch_losses.last().copied()
-    }
-
     /// Whether the loss decreased from the first to the last epoch.
     pub fn improved(&self) -> bool {
         match (self.epoch_losses.first(), self.epoch_losses.last()) {
@@ -218,7 +213,7 @@ mod tests {
         assert_eq!(report.epoch_losses.len(), 4);
         assert_eq!(report.steps, 30 * 2 * 4);
         assert!(report.improved(), "losses: {:?}", report.epoch_losses);
-        assert!(report.final_loss().unwrap() > 0.0);
+        assert!(*report.epoch_losses.last().unwrap() > 0.0);
     }
 
     #[test]

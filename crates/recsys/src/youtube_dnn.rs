@@ -151,6 +151,9 @@ pub struct YoutubeDnn {
     ranking_mlp: Mlp,
 }
 
+// The filtering and ranking methods stay `pub` although no other crate calls most of
+// them yet: this is Table I's YouTubeDNN, the model the serve path is to filter and
+// rank with.
 impl YoutubeDnn {
     /// Number of user-item embedding tables used by the filtering stage (Table I).
     pub const FILTERING_UIETS: usize = 5;
@@ -586,7 +589,8 @@ impl YoutubeDnn {
     }
 
     /// Total parameter count across embeddings and both DNN stacks.
-    pub fn parameter_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parameter_count(&self) -> usize {
         self.item_table.parameter_count()
             + self.history_table.parameter_count()
             + self.genre_table.parameter_count()

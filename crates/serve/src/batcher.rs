@@ -117,13 +117,13 @@ impl<T> DynamicBatcher<T> {
     }
 
     /// Number of requests currently pending.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.pending.len()
     }
 
     /// The deadline of the pending batch (oldest arrival + max wait), if any requests
     /// are pending.
-    pub fn deadline_us(&self) -> Option<f64> {
+    pub(crate) fn deadline_us(&self) -> Option<f64> {
         if self.pending.is_empty() {
             None
         } else {

@@ -175,7 +175,7 @@ impl CacheStats {
     /// The counters accumulated since an `earlier` snapshot of the same cache.
     /// Saturating, so a concurrent counter reset cannot underflow.
     #[must_use]
-    pub fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
+    pub(crate) fn delta_since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
             coalesced: self.coalesced.saturating_sub(earlier.coalesced),
@@ -421,18 +421,20 @@ impl<T: Copy + Default> HotRowCache<T> {
     }
 
     /// Zero the counters (resident rows are kept — a warm cache with fresh statistics).
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
 
     /// Completed aging sweeps of the TinyLFU admission sketch (0 for other policies).
-    pub fn admission_resets(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn admission_resets(&self) -> u64 {
         self.sketch.as_ref().map_or(0, |sketch| sketch.resets)
     }
 
     /// The admission sketch's current frequency estimate for `row` (0 for policies
     /// without a sketch). Exposed for tests and diagnostics; never affects state.
-    pub fn admission_frequency(&self, row: u32) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn admission_frequency(&self, row: u32) -> u32 {
         self.sketch
             .as_ref()
             .map_or(0, |sketch| sketch.frequency(row))
@@ -445,14 +447,14 @@ impl<T: Copy + Default> HotRowCache<T> {
 
     /// Count `lookups` cache-bypassing lookups as misses. Used by the disabled-cache
     /// fast path so hit-rate reporting stays comparable across configurations.
-    pub fn record_misses(&mut self, lookups: u64) {
+    pub(crate) fn record_misses(&mut self, lookups: u64) {
         self.stats.misses += lookups;
     }
 
     /// Reclassify the most recent miss as coalesced: the caller found the row already
     /// being fetched for the same batch, so no second fetch happens. Serving-buffer
     /// accounting treats it as a hit.
-    pub fn coalesce_last_miss(&mut self) {
+    pub(crate) fn coalesce_last_miss(&mut self) {
         debug_assert!(self.stats.misses > 0, "no miss to coalesce");
         self.stats.misses -= 1;
         self.stats.coalesced += 1;

@@ -178,7 +178,7 @@ impl ChaosPlan {
     }
 
     /// Sub-requests the target shard serves before the fault fires.
-    pub fn fire_after(&self) -> u64 {
+    pub(crate) fn fire_after(&self) -> u64 {
         self.fire_after
     }
 

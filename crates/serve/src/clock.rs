@@ -53,8 +53,8 @@ impl Clock for WallClock {
 }
 
 /// A manually-advanced clock for deterministic tests: time moves only when a test calls
-/// [`ManualClock::advance_us`] or [`ManualClock::set_us`]. Shared across threads via
-/// `Arc`, like any other [`Clock`].
+/// its test-only `advance_us` or `set_us`. Shared across threads via `Arc`, like any
+/// other [`Clock`].
 #[derive(Debug, Default)]
 pub struct ManualClock {
     /// Current time in microseconds, stored as `f64` bits (all stored values are
@@ -71,7 +71,8 @@ impl ManualClock {
     }
 
     /// Move the clock forward by `delta_us` (negative or non-finite deltas are ignored).
-    pub fn advance_us(&self, delta_us: f64) {
+    #[cfg(test)]
+    pub(crate) fn advance_us(&self, delta_us: f64) {
         if delta_us.is_finite() && delta_us > 0.0 {
             let now = f64::from_bits(self.now_bits.load(Ordering::Acquire));
             self.set_us(now + delta_us);
@@ -80,7 +81,8 @@ impl ManualClock {
 
     /// Set the clock to `now_us`; the clock never moves backwards, so an earlier value
     /// is ignored.
-    pub fn set_us(&self, now_us: f64) {
+    #[cfg(test)]
+    pub(crate) fn set_us(&self, now_us: f64) {
         if !now_us.is_finite() || now_us < 0.0 {
             return;
         }

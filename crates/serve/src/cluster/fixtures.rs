@@ -36,7 +36,6 @@ pub(super) fn serve_config(cache_capacity: usize, precision: ServePrecision) -> 
         cache_capacity,
         cache_policy: CachePolicy::Clock,
         cache_placement: crate::cache::CachePlacement::Router,
-        shard_batching: false,
         precision,
         policy: BatchPolicy::new(16, 300.0).unwrap(),
         signature_bits: 64,

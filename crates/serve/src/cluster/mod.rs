@@ -171,7 +171,7 @@ impl ResilienceConfig {
 /// cluster caches where the rows live instead of at the router. Plain data so it can
 /// ride in [`ClusterOptions`] and cross the socket transport as a config frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeCacheConfig {
+pub(crate) struct NodeCacheConfig {
     /// Rows each shard node's cache holds (0 disables node caching).
     pub capacity: usize,
     /// The replacement/admission policy every node cache runs.

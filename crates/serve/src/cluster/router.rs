@@ -191,21 +191,9 @@ impl<T: Lane> ClusterClient<T> {
         }
     }
 
-    /// Swap the deadline source (timeouts, backoff and hedging run off it). Tests use a
-    /// [`ManualClock`](crate::clock::ManualClock) to make the resilient path
-    /// deterministic.
-    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        self.clock = clock;
-    }
-
-    /// Arm (or disarm) the fault-tolerance policy on this router.
-    pub fn set_resilience(&mut self, resilience: Option<ResilienceConfig>) {
-        self.resilience = resilience;
-    }
-
     /// Row ids zero-filled since the last call (the engine excludes them from the
     /// cache and counts the degraded queries).
-    pub fn take_missing_rows(&mut self) -> Vec<u32> {
+    pub(crate) fn take_missing_rows(&mut self) -> Vec<u32> {
         std::mem::take(&mut self.missing)
     }
 
@@ -421,10 +409,6 @@ impl<T: Lane> ShardTopology for ClusterClient<T> {
 
     fn num_shards(&self) -> usize {
         self.plan.num_shards()
-    }
-
-    fn home_shard(&self, history: &[u32]) -> usize {
-        self.plan.home_shard(history.iter().copied())
     }
 
     fn node_cache_stats(&self) -> CacheStats {

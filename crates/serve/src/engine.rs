@@ -78,10 +78,6 @@ pub struct ServeConfig {
     /// Where the hot-row cache lives: one cache at the router (the classic layout) or
     /// one per shard node, co-located with the rows it fronts.
     pub cache_placement: CachePlacement,
-    /// Group each batch's requests by home shard before pooling, so a sub-request
-    /// carries a whole request group to its home shard and cross-shard hops amortize.
-    /// Responses are bit-identical either way; only fetch fan-out and counters move.
-    pub shard_batching: bool,
     /// Row format served from the shards.
     pub precision: ServePrecision,
     /// Dynamic batching policy.
@@ -108,7 +104,6 @@ impl ServeConfig {
             cache_capacity,
             cache_policy: CachePolicy::Clock,
             cache_placement: CachePlacement::Router,
-            shard_batching: false,
             precision: ServePrecision::Fp32,
             policy: BatchPolicy::new(64, 500.0)?,
             signature_bits: 256,
@@ -706,7 +701,7 @@ impl ServeEngine {
 
     /// Number of embedding shards actually created (may be fewer than requested for a
     /// small catalogue).
-    pub fn num_shards(&self) -> usize {
+    pub(crate) fn num_shards(&self) -> usize {
         self.store.source().num_shards()
     }
 
@@ -718,12 +713,12 @@ impl ServeEngine {
     }
 
     /// Cache counters accumulated so far.
-    pub fn cache_stats(&self) -> CacheStats {
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         self.store.cache_stats()
     }
 
     /// Shard-cluster counters (None when serving from the in-process table).
-    pub fn cluster_stats(&self) -> Option<ClusterStats> {
+    pub(crate) fn cluster_stats(&self) -> Option<ClusterStats> {
         self.store
             .source()
             .cluster_counters()
@@ -738,7 +733,7 @@ impl ServeEngine {
     /// Zero the telemetry and cache counters (resident cache rows are kept). The replay
     /// drivers call this at the start of a run; the threaded runtime calls it on each
     /// worker's engine clone so per-worker counters start from zero.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.telemetry = ServeTelemetry::default();
         self.store.reset_cache_stats();
         if let Some(tracer) = &mut self.tracer {
@@ -759,11 +754,6 @@ impl ServeEngine {
     /// series is byte-identical across worker counts on a frozen manual clock.
     pub fn enable_metrics(&mut self, config: MetricsConfig) {
         self.metrics = Some(MetricsScraper::new(&config, self.num_shards()));
-    }
-
-    /// Whether [`ServeEngine::enable_metrics`] armed the metrics plane.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.is_some()
     }
 
     /// Take this clone's scraper (the threaded runtime collects one per worker and
@@ -803,80 +793,25 @@ impl ServeEngine {
             .unwrap_or_default()
     }
 
-    /// Pool `requests` into [`PoolScratch::batch`] and [`PoolScratch::dense`], grouping
-    /// requests by home shard first when [`ServeConfig::shard_batching`] is on: each
-    /// group pools as its own sub-batch, so its row fetch routes overwhelmingly to one
-    /// shard node and the cross-shard hops of the whole group amortize into that single
-    /// sub-request. Profiles land at each request's original offset and per-request
-    /// pooling is untouched, so responses are bit-identical to the ungrouped path — only
-    /// fan-out and cache counters move. (The grouped path builds its sub-batches fresh;
-    /// only the ungrouped path is allocation-free.)
+    /// Pool `requests` into [`PoolScratch::batch`] and [`PoolScratch::dense`], through
+    /// the scratch buffers the engine keeps, so a warm batch allocates nothing here.
     fn pool_batch_dense(
         &mut self,
         requests: &[ServeRequest],
-        mut pool_trace: Option<&mut PoolTrace>,
+        pool_trace: Option<&mut PoolTrace>,
     ) -> Result<Vec<u32>, ServeError> {
         let dense_dim = self.model.config().num_dense_features;
         let pool = &mut self.pool;
         pool.batch
             .refill(requests.iter().map(|request| request.history.as_slice()));
         pool.dense.resize(requests.len() * dense_dim, 0.0);
-        let shards = self.store.source().num_shards();
-        if !self.config.shard_batching || shards <= 1 {
-            return self.store.pool_dense(
-                &pool.batch,
-                &mut pool.dense,
-                &mut pool.int8,
-                &mut pool.degraded,
-                pool_trace,
-            );
-        }
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (index, request) in requests.iter().enumerate() {
-            groups[self.store.source().home_shard(&request.history)].push(index);
-        }
-        let mut missing = Vec::new();
-        let mut first_fetch = true;
-        for group in groups.iter().filter(|group| !group.is_empty()) {
-            let histories: Vec<&[u32]> = group
-                .iter()
-                .map(|&index| requests[index].history.as_slice())
-                .collect();
-            let sub_batch = PoolingBatch::from_requests(&histories);
-            let mut sub_dense = vec![0.0f32; group.len() * dense_dim];
-            let mut sub_trace = pool_trace
-                .as_ref()
-                .map(|trace| PoolTrace::new(trace.clock.clone()));
-            missing.extend(self.store.pool_dense(
-                &sub_batch,
-                &mut sub_dense,
-                &mut pool.int8,
-                &mut pool.degraded,
-                sub_trace.as_mut(),
-            )?);
-            if let (Some(trace), Some(sub)) = (pool_trace.as_deref_mut(), sub_trace) {
-                if first_fetch {
-                    trace.fetch_begin_us = sub.fetch_begin_us;
-                    first_fetch = false;
-                }
-                trace.fetch_end_us = sub.fetch_end_us;
-                trace.hits += sub.hits;
-                trace.misses += sub.misses;
-                trace.coalesced += sub.coalesced;
-                trace.events.extend(sub.events);
-                trace.node_spans.extend(sub.node_spans);
-            }
-            for (&index, profile) in group.iter().zip(sub_dense.chunks(dense_dim)) {
-                pool.dense[index * dense_dim..(index + 1) * dense_dim].copy_from_slice(profile);
-            }
-        }
-        // One batch can report a missing row once per group; collapse to the
-        // ungrouped contract of unique rows, and leave all of them in `degraded`.
-        missing.sort_unstable();
-        missing.dedup();
-        pool.degraded.clear();
-        pool.degraded.extend(&missing);
-        Ok(missing)
+        self.store.pool_dense(
+            &pool.batch,
+            &mut pool.dense,
+            &mut pool.int8,
+            &mut pool.degraded,
+            pool_trace,
+        )
     }
 
     /// Execute one coalesced batch through pooling, filtering and ranking. Responses are
@@ -1233,7 +1168,6 @@ mod tests {
             cache_capacity,
             cache_policy: CachePolicy::Clock,
             cache_placement: CachePlacement::Router,
-            shard_batching: false,
             precision,
             policy: BatchPolicy::new(32, 300.0).unwrap(),
             signature_bits: 64,
@@ -1638,13 +1572,11 @@ mod tests {
         precision: ServePrecision,
         policy: CachePolicy,
         placement: CachePlacement,
-        shard_batching: bool,
     ) -> ServeEngine {
         let cfg = ServeConfig {
             shards,
             cache_policy: policy,
             cache_placement: placement,
-            shard_batching,
             ..config(capacity, precision)
         };
         ServeEngine::new(tiny_model(), &items(), cfg).unwrap()
@@ -1659,20 +1591,12 @@ mod tests {
         for precision in [ServePrecision::Fp32, ServePrecision::Int8] {
             for shards in [1usize, 2, 8] {
                 let policy = CachePolicy::Clock;
-                let router = custom_engine(
-                    shards,
-                    128,
-                    precision,
-                    policy,
-                    CachePlacement::Router,
-                    false,
-                )
-                .replay(&workload)
-                .unwrap();
-                let sharded =
-                    custom_engine(shards, 128, precision, policy, CachePlacement::Shard, false)
-                        .replay(&workload)
-                        .unwrap();
+                let router = custom_engine(shards, 128, precision, policy, CachePlacement::Router)
+                    .replay(&workload)
+                    .unwrap();
+                let sharded = custom_engine(shards, 128, precision, policy, CachePlacement::Shard)
+                    .replay(&workload)
+                    .unwrap();
                 for (a, b) in router.responses.iter().zip(sharded.responses.iter()) {
                     assert_eq!(a.id, b.id);
                     assert_eq!(
@@ -1709,16 +1633,10 @@ mod tests {
         let mut rates = Vec::new();
         let mut reference: Option<Vec<ServeResponse>> = None;
         for policy in CachePolicy::ALL {
-            let outcome = custom_engine(
-                4,
-                32,
-                ServePrecision::Fp32,
-                policy,
-                CachePlacement::Router,
-                false,
-            )
-            .replay(&workload)
-            .unwrap();
+            let outcome =
+                custom_engine(4, 32, ServePrecision::Fp32, policy, CachePlacement::Router)
+                    .replay(&workload)
+                    .unwrap();
             match &reference {
                 None => reference = Some(outcome.responses.clone()),
                 Some(expected) => {
@@ -1740,39 +1658,6 @@ mod tests {
         );
     }
 
-    /// Shard-aware batching regroups a batch by home shard before pooling; the
-    /// responses must stay bit-identical to the flat pooling order.
-    #[test]
-    fn shard_batching_replay_is_bit_identical() {
-        let workload = ReplayWorkload::generate(&replay_config(1500)).unwrap();
-        for precision in [ServePrecision::Fp32, ServePrecision::Int8] {
-            for placement in [CachePlacement::Router, CachePlacement::Shard] {
-                let flat = custom_engine(4, 64, precision, CachePolicy::Clock, placement, false)
-                    .replay(&workload)
-                    .unwrap();
-                let grouped = custom_engine(4, 64, precision, CachePolicy::Clock, placement, true)
-                    .replay(&workload)
-                    .unwrap();
-                assert_eq!(flat.responses.len(), grouped.responses.len());
-                for (a, b) in flat.responses.iter().zip(grouped.responses.iter()) {
-                    assert_eq!(a.id, b.id);
-                    assert_eq!(
-                        a.score.to_bits(),
-                        b.score.to_bits(),
-                        "query {} ({precision:?}, {placement:?})",
-                        a.id
-                    );
-                    assert_eq!(a.candidates, b.candidates);
-                }
-                assert_eq!(
-                    flat.report.cache.lookups(),
-                    grouped.report.cache.lookups(),
-                    "({precision:?}, {placement:?})"
-                );
-            }
-        }
-    }
-
     /// The coalescing property: when one batch references the same row many times, the
     /// row is fetched once — exactly one miss, every duplicate counted as coalesced —
     /// under every policy and both cache placements.
@@ -1780,8 +1665,7 @@ mod tests {
     fn coalesced_in_flight_misses_count_once_under_every_policy_and_placement() {
         for policy in CachePolicy::ALL {
             for placement in [CachePlacement::Router, CachePlacement::Shard] {
-                let mut engine =
-                    custom_engine(4, 64, ServePrecision::Fp32, policy, placement, false);
+                let mut engine = custom_engine(4, 64, ServePrecision::Fp32, policy, placement);
                 let requests: Vec<ServeRequest> = (0..8)
                     .map(|i| ServeRequest {
                         id: i,
@@ -1901,9 +1785,7 @@ mod tests {
     fn simulated_replay_scrapes_a_coherent_time_series() {
         let workload = ReplayWorkload::generate(&replay_config(400)).unwrap();
         let mut served = engine(64, ServePrecision::Fp32);
-        assert!(!served.metrics_enabled());
         served.enable_metrics(workload.metrics_config(10));
-        assert!(served.metrics_enabled());
         let outcome = served.replay(&workload).unwrap();
         let series = outcome.report.metrics.as_ref().expect("metrics enabled");
         assert!(

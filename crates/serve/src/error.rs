@@ -77,7 +77,8 @@ impl ServeError {
     /// Whether a fault-tolerant router may retry the operation (against the same shard
     /// or a replica) instead of failing the request — a structural property of the
     /// variant, so callers never have to string-match messages.
-    pub fn is_retryable(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_retryable(&self) -> bool {
         matches!(
             self,
             ServeError::Timeout { .. }

@@ -79,16 +79,13 @@ pub use batcher::{BatchPolicy, DynamicBatcher, FlushReason, FlushedBatch};
 pub use cache::{CachePlacement, CachePolicy, CacheStats, HotRowCache};
 pub use chaos::{ChaosPlan, FaultKind, FaultSpec};
 pub use clock::{Clock, ManualClock, WallClock};
-pub use cluster::{
-    ClusterClient, ClusterConfig, ClusterHandle, ClusterOptions, NodeCacheConfig, ResilienceConfig,
-};
+pub use cluster::{ClusterClient, ClusterConfig, ClusterHandle, ClusterOptions, ResilienceConfig};
 pub use engine::{
     ReplayOutcome, ServeConfig, ServeEngine, ServePrecision, ServeRequest, ServeResponse,
 };
 pub use error::ServeError;
 pub use metrics::{
-    exposition, MetricsConfig, MetricsScraper, MetricsSeries, ShardFaultDelta, StageExemplars,
-    WindowSample,
+    exposition, MetricsConfig, MetricsScraper, MetricsSeries, StageExemplars, WindowSample,
 };
 pub use placement::{Placement, ShardPlan, ShardSplit, SubBatch};
 pub use queue::{BoundedQueue, Pop, PushError};

@@ -47,7 +47,7 @@ impl Default for MetricsConfig {
 impl MetricsConfig {
     /// The interval, sanitized: non-finite or non-positive widths fall back to
     /// one second so window math can never divide by zero.
-    pub fn sane_interval_us(&self) -> f64 {
+    pub(crate) fn sane_interval_us(&self) -> f64 {
         if self.interval_us.is_finite() && self.interval_us > 0.0 {
             self.interval_us
         } else {
@@ -62,7 +62,7 @@ impl MetricsConfig {
 /// other workers mutate concurrently), so the per-window attribution is
 /// deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardFaultDelta {
+pub(crate) struct ShardFaultDelta {
     /// Sub-request attempts that blew their deadline.
     pub timeouts: u64,
     /// Re-dispatches of timed-out or failed sub-requests.
@@ -73,7 +73,7 @@ pub struct ShardFaultDelta {
 
 impl ShardFaultDelta {
     /// Whether anything happened in this delta.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.timeouts == 0 && self.retries == 0 && self.promotions == 0
     }
 }
@@ -81,7 +81,7 @@ impl ShardFaultDelta {
 /// The registry slice owned by one scrape window: every instrument the plane
 /// tracks, over the events whose timestamps landed in the window.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct WindowMetrics {
+pub(crate) struct WindowMetrics {
     /// Queries that arrived (were accepted into the system) in this window.
     pub arrivals: u64,
     /// Queries whose batch completed in this window.
@@ -153,7 +153,7 @@ impl MetricsScraper {
     }
 
     /// The sanitized window width in microseconds.
-    pub fn interval_us(&self) -> f64 {
+    pub(crate) fn interval_us(&self) -> f64 {
         self.interval_us
     }
 
@@ -177,14 +177,14 @@ impl MetricsScraper {
 
     /// Record one query accepted into the system at `at_us` (its submit /
     /// arrival stamp on the injected clock).
-    pub fn record_arrival(&mut self, at_us: f64) {
+    pub(crate) fn record_arrival(&mut self, at_us: f64) {
         self.window_mut(at_us).arrivals += 1;
     }
 
     /// Record one completed batch: per-query end-to-end latencies, the router
     /// cache's hit/miss delta, and the per-shard fault deltas drained from the
     /// router, all attributed to the batch's completion stamp.
-    pub fn record_batch(
+    pub(crate) fn record_batch(
         &mut self,
         completed_us: f64,
         latencies_us: &[f64],
@@ -272,7 +272,7 @@ impl MetricsScraper {
 
 /// Events per second over a window, NaN-proof: a zero, negative, NaN or
 /// infinite window width yields 0 instead of leaking NaN/inf into JSON.
-pub fn rate_per_second(events: u64, window_us: f64) -> f64 {
+pub(crate) fn rate_per_second(events: u64, window_us: f64) -> f64 {
     // Finite check first: NaN fails `is_finite`, so the division arm only
     // ever sees a finite positive width.
     if !window_us.is_finite() || window_us <= 0.0 {
@@ -352,7 +352,8 @@ impl MetricsSeries {
 
     /// Total fault events (timeouts + retries + promotions) per window —
     /// the chaos-spike signal.
-    pub fn fault_events(&self) -> Vec<(i64, u64)> {
+    #[cfg(test)]
+    pub(crate) fn fault_events(&self) -> Vec<(i64, u64)> {
         self.windows
             .iter()
             .map(|w| {
@@ -457,7 +458,7 @@ impl StageExemplars {
     }
 
     /// The exemplar for the end-to-end total histogram's bucket.
-    pub fn lookup_total(&self, bucket: usize) -> Option<(u64, f64)> {
+    pub(crate) fn lookup_total(&self, bucket: usize) -> Option<(u64, f64)> {
         self.total.get(&bucket).copied()
     }
 

@@ -196,7 +196,7 @@ impl ShardPlan {
     }
 
     /// Number of shards actually created (≤ the requested count for tiny catalogues).
-    pub fn num_shards(&self) -> usize {
+    pub(crate) fn num_shards(&self) -> usize {
         self.shard_rows.len()
     }
 
@@ -220,7 +220,7 @@ impl ShardPlan {
 
     /// Global row ids stored on `shard` (primary rows first, then replicas), in the
     /// deterministic storage order the shard node indexes.
-    pub fn rows_on(&self, shard: usize) -> &[u32] {
+    pub(crate) fn rows_on(&self, shard: usize) -> &[u32] {
         &self.shard_rows[shard]
     }
 
@@ -246,12 +246,17 @@ impl ShardPlan {
     /// can be served from any shard, so they follow the home instead of voting for it.
     /// Deterministic, so the routing — and therefore the interconnect charge — is a pure
     /// function of the batch.
-    pub fn home_shard(&self, rows: impl Iterator<Item = u32>) -> usize {
-        plurality_shard(
-            rows.filter(|&row| !self.is_replicated(row))
-                .map(|row| self.primary_shard(row)),
-            self.num_shards(),
-        )
+    pub(crate) fn home_shard(&self, rows: impl Iterator<Item = u32>) -> usize {
+        let mut counts = vec![0u64; self.num_shards()];
+        for row in rows.filter(|&row| !self.is_replicated(row)) {
+            counts[self.primary_shard(row)] += 1;
+        }
+        counts
+            .iter()
+            .enumerate()
+            .max_by(|(ia, a), (ib, b)| a.cmp(b).then(ib.cmp(ia)))
+            .map(|(shard, _)| shard)
+            .unwrap_or(0)
     }
 
     /// Split a flat lookup list into per-shard sub-batches.
@@ -281,25 +286,6 @@ impl ShardPlan {
         per_shard.retain(|sub| !sub.rows.is_empty());
         ShardSplit { home, per_shard }
     }
-}
-
-/// The shard named most often by `shards`, ties broken toward the lower shard id (0
-/// for an empty vote). The one arg-max behind [`ShardPlan::home_shard`] and the
-/// in-process [`ShardedTable`](crate::shard::ShardedTable)'s home shard, so request
-/// groups land where their sub-batches would route anyway. A shard id past the end
-/// (an unvalidated row) votes for the last shard instead of panicking.
-pub(crate) fn plurality_shard(shards: impl Iterator<Item = usize>, num_shards: usize) -> usize {
-    let mut counts = vec![0u64; num_shards.max(1)];
-    let last = counts.len() - 1;
-    for shard in shards {
-        counts[shard.min(last)] += 1;
-    }
-    counts
-        .iter()
-        .enumerate()
-        .max_by(|(ia, a), (ib, b)| a.cmp(b).then(ib.cmp(ia)))
-        .map(|(shard, _)| shard)
-        .unwrap_or(0)
 }
 
 /// The lookups one shard serves for one routed batch.

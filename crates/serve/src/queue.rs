@@ -142,7 +142,7 @@ impl<T> BoundedQueue<T> {
     ///
     /// [`PushError::Full`] when the timeout elapses with the queue still at capacity,
     /// [`PushError::Closed`] if the queue closes while waiting (or was already closed).
-    pub fn push_timeout(&self, item: T, timeout: Duration) -> Result<usize, PushError<T>> {
+    pub(crate) fn push_timeout(&self, item: T, timeout: Duration) -> Result<usize, PushError<T>> {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.state.lock().expect("queue lock poisoned");
         loop {
@@ -186,7 +186,7 @@ impl<T> BoundedQueue<T> {
 
     /// Dequeue with a timeout: an item if one arrives in time, [`Pop::TimedOut`] when
     /// the wait elapses, [`Pop::Closed`] once closed and drained.
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
+    pub(crate) fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.state.lock().expect("queue lock poisoned");
         loop {
@@ -239,7 +239,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.state.lock().expect("queue lock poisoned").closed
     }
 }

@@ -227,11 +227,6 @@ impl ServeRuntime {
         self.shared.depth_samples.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Requests currently waiting in the bounded queue.
-    pub fn queue_depth(&self) -> usize {
-        self.requests.len()
-    }
-
     /// Responses completed so far (across all workers).
     pub fn completed(&self) -> u64 {
         self.shared.completed.load(Ordering::Relaxed)
@@ -297,7 +292,6 @@ impl ServeRuntime {
             queue_capacity: self.config.queue_capacity,
             submitted: self.shared.submitted.load(Ordering::Relaxed),
             rejected: self.shared.rejected.load(Ordering::Relaxed),
-            batcher_stalls: 0,
             batcher_stall_us: 0.0,
             queue_depth_max: self.shared.depth_max.load(Ordering::Relaxed),
             queue_depth_sum: self.shared.depth_sum.load(Ordering::Relaxed),
@@ -473,7 +467,8 @@ impl ThreadedReplayConfig {
     /// # Errors
     ///
     /// As for [`RuntimeConfig::new`].
-    pub fn real_time(workers: usize, queue_capacity: usize) -> Result<Self, ServeError> {
+    #[cfg(test)]
+    pub(crate) fn real_time(workers: usize, queue_capacity: usize) -> Result<Self, ServeError> {
         Ok(Self {
             runtime: RuntimeConfig::new(workers, queue_capacity)?,
             speedup: 1.0,
@@ -571,7 +566,6 @@ mod tests {
             cache_capacity: 64,
             cache_policy: crate::cache::CachePolicy::Clock,
             cache_placement: crate::cache::CachePlacement::Router,
-            shard_batching: false,
             precision: ServePrecision::Fp32,
             policy,
             signature_bits: 64,
@@ -893,7 +887,6 @@ mod tests {
                 cache_capacity: 64,
                 cache_policy: crate::cache::CachePolicy::Clock,
                 cache_placement: crate::cache::CachePlacement::Router,
-                shard_batching: false,
                 precision,
                 policy: BatchPolicy::new(16, 300.0).unwrap(),
                 signature_bits: 64,

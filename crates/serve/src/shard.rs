@@ -27,7 +27,6 @@ use imars_recsys::quantization::QuantizedTable;
 use crate::cache::{CachePolicy, CacheStats, HotRowCache, RowMap};
 use crate::cluster::ClusterCounters;
 use crate::error::ServeError;
-use crate::placement::plurality_shard;
 use crate::trace::PoolTrace;
 
 /// A row element that can be pool-accumulated. `f32` uses plain addition (the
@@ -143,10 +142,6 @@ pub(crate) trait ShardTopology: Send + Sync + std::fmt::Debug {
 
     /// Number of shards the rows are partitioned across.
     fn num_shards(&self) -> usize;
-
-    /// The home shard of one request's history (shard-aware batching): the shard
-    /// owning most of its rows, ties toward the lower shard id.
-    fn home_shard(&self, history: &[u32]) -> usize;
 
     /// Aggregated counters of the per-shard-node caches (all-zero without them).
     fn node_cache_stats(&self) -> CacheStats;
@@ -439,7 +434,7 @@ impl<T: Lane> ShardedTable<T> {
     /// the owning shard's cache instead of its storage. A zero capacity removes the
     /// caches again. The caches are shared across clones of this table, the way a
     /// shard node's cache is shared across its workers.
-    pub fn install_node_caches(&mut self, per_shard_capacity: usize, policy: CachePolicy) {
+    pub(crate) fn install_node_caches(&mut self, per_shard_capacity: usize, policy: CachePolicy) {
         self.node_caches = (per_shard_capacity > 0).then(|| {
             Arc::new(
                 (0..self.num_shards)
@@ -456,21 +451,13 @@ impl<T: Lane> ShardedTable<T> {
     }
 
     /// Whether per-shard-node caches are installed.
-    pub fn node_cached(&self) -> bool {
+    pub(crate) fn node_cached(&self) -> bool {
         self.node_caches.is_some()
-    }
-
-    /// Counters of one shard's node cache (`None` without node caches or for an
-    /// out-of-range shard).
-    pub fn node_cache_stats_of(&self, shard: usize) -> Option<CacheStats> {
-        let caches = self.node_caches.as_ref()?;
-        let cache = caches.get(shard)?;
-        Some(cache.lock().expect("node cache lock").stats())
     }
 
     /// Aggregated counters of the per-shard-node caches (all-zero when none are
     /// installed).
-    pub fn node_cache_stats(&self) -> CacheStats {
+    pub(crate) fn node_cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         if let Some(caches) = &self.node_caches {
             for cache in caches.iter() {
@@ -481,7 +468,7 @@ impl<T: Lane> ShardedTable<T> {
     }
 
     /// Zero the node caches' counters (resident rows are kept).
-    pub fn reset_node_cache_stats(&mut self) {
+    pub(crate) fn reset_node_cache_stats(&mut self) {
         if let Some(caches) = &self.node_caches {
             for cache in caches.iter() {
                 cache.lock().expect("node cache lock").reset_stats();
@@ -512,7 +499,7 @@ impl<T: Lane> ShardedTable<T> {
     }
 
     /// Number of shards actually created.
-    pub fn num_shards(&self) -> usize {
+    pub(crate) fn num_shards(&self) -> usize {
         self.num_shards
     }
 
@@ -522,14 +509,9 @@ impl<T: Lane> ShardedTable<T> {
         &self.arena
     }
 
-    /// Rows per shard (the last shard may hold fewer).
-    pub fn rows_per_shard(&self) -> usize {
-        self.rows_per_shard
-    }
-
     /// The shard owning a row id.
     #[inline]
-    pub fn shard_of(&self, row: u32) -> usize {
+    pub(crate) fn shard_of(&self, row: u32) -> usize {
         row as usize / self.rows_per_shard
     }
 
@@ -564,7 +546,7 @@ impl<T: Lane> ShardedTable<T> {
     /// # Panics
     ///
     /// Panics if `out` is not exactly `rows.len() * dim` long.
-    pub fn fetch_into(&self, rows: &[u32], out: &mut [T]) {
+    pub(crate) fn fetch_into(&self, rows: &[u32], out: &mut [T]) {
         let dim = self.arena.dim();
         assert_eq!(
             out.len(),
@@ -647,13 +629,6 @@ impl<T: Lane> ShardTopology for ShardedTable<T> {
         self.num_shards
     }
 
-    fn home_shard(&self, history: &[u32]) -> usize {
-        plurality_shard(
-            history.iter().map(|&row| self.shard_of(row)),
-            self.num_shards,
-        )
-    }
-
     fn node_cache_stats(&self) -> CacheStats {
         ShardedTable::node_cache_stats(self)
     }
@@ -713,7 +688,7 @@ mod tests {
         assert_eq!(sharded.rows(), 100);
         assert_eq!(sharded.dim(), 8);
         assert_eq!(sharded.num_shards(), 4);
-        assert_eq!(sharded.rows_per_shard(), 25);
+        assert_eq!(sharded.rows_per_shard, 25);
         assert_eq!(sharded.shard_of(0), 0);
         assert_eq!(sharded.shard_of(24), 0);
         assert_eq!(sharded.shard_of(25), 1);
@@ -760,7 +735,7 @@ mod tests {
         let t = table(3, 4, 2);
         let sharded = shard_embedding(&t, 16).unwrap();
         assert_eq!(sharded.num_shards(), 3);
-        assert_eq!(sharded.rows_per_shard(), 1);
+        assert_eq!(sharded.rows_per_shard, 1);
         for row in 0..3u32 {
             assert_eq!(sharded.row(row), t.lookup(row as usize).unwrap());
         }

@@ -52,7 +52,7 @@ impl LatencyHistogram {
     /// The bucket index a value lands in — public so the metrics plane's
     /// exemplar harvest ([`crate::metrics::StageExemplars`]) can key exemplars
     /// by the exact bucket the exposition dump renders.
-    pub fn bucket_of(latency_us: f64) -> usize {
+    pub(crate) fn bucket_of(latency_us: f64) -> usize {
         // NaN would fall through a plain `<= BASE_US` comparison into the log-domain
         // math; route it to bucket 0 alongside negatives, zero and sub-base values.
         if latency_us.is_nan() || latency_us <= BASE_US {
@@ -70,7 +70,7 @@ impl LatencyHistogram {
     }
 
     /// Upper edge of a bucket in microseconds.
-    pub fn bucket_upper_us(index: usize) -> f64 {
+    pub(crate) fn bucket_upper_us(index: usize) -> f64 {
         BASE_US * ((index + 1) as f64 / BUCKETS_PER_OCTAVE).exp2()
     }
 
@@ -103,7 +103,7 @@ impl LatencyHistogram {
     }
 
     /// Smallest observation (0 when empty).
-    pub fn min_us(&self) -> f64 {
+    pub(crate) fn min_us(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -112,7 +112,7 @@ impl LatencyHistogram {
     }
 
     /// Largest observation (0 when empty).
-    pub fn max_us(&self) -> f64 {
+    pub(crate) fn max_us(&self) -> f64 {
         self.max_us
     }
 
@@ -132,7 +132,7 @@ impl LatencyHistogram {
     /// The non-empty buckets as `(bucket_index, upper_edge_us, count)` triples —
     /// the Prometheus exposition renders cumulative `le` buckets from these and
     /// attaches per-bucket exemplars by index.
-    pub fn indexed_buckets(&self) -> Vec<(usize, f64, u64)> {
+    pub(crate) fn indexed_buckets(&self) -> Vec<(usize, f64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -143,7 +143,7 @@ impl LatencyHistogram {
 
     /// The non-empty buckets as `(upper_edge_us, count)` pairs — the full distribution,
     /// exported in the report JSON so offline tooling can recompute any quantile.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -313,7 +313,7 @@ impl ServeTelemetry {
 
     /// Queries per second over engine busy time only (peak service rate).
     /// NaN-proof like [`ServeTelemetry::served_qps`].
-    pub fn service_qps(&self) -> f64 {
+    pub(crate) fn service_qps(&self) -> f64 {
         if !self.busy_us.is_finite() || self.busy_us <= 0.0 {
             0.0
         } else {
@@ -401,8 +401,6 @@ pub struct RuntimeStats {
     /// Always 0: the runtime's workers form their own batches, so there is no batcher
     /// thread to stall on a batch queue. Kept so reports and their readers keep the
     /// field.
-    pub batcher_stalls: u64,
-    /// Always 0, like [`RuntimeStats::batcher_stalls`].
     pub batcher_stall_us: f64,
     /// Deepest request-queue depth observed at a submit.
     pub queue_depth_max: u64,
@@ -532,18 +530,18 @@ impl ClusterStats {
     }
 
     /// Total queue-overflow rejections across shards.
-    pub fn total_rejections(&self) -> u64 {
+    pub(crate) fn total_rejections(&self) -> u64 {
         self.shard_rejections.iter().sum()
     }
 
     /// Whether the resilient path ever intervened (timed out, retried, hedged,
     /// promoted or degraded anything).
-    pub fn any_faults_handled(&self) -> bool {
+    pub(crate) fn any_faults_handled(&self) -> bool {
         self.timeouts + self.retries + self.hedges + self.promotions + self.missing_rows > 0
     }
 
     /// Whether any shard node served lookups through its own cache.
-    pub fn node_cached(&self) -> bool {
+    pub(crate) fn node_cached(&self) -> bool {
         self.shard_cache_hits.iter().sum::<u64>() + self.shard_cache_misses.iter().sum::<u64>() > 0
     }
 }
@@ -917,7 +915,6 @@ impl ServeReport {
                 "    \"rejection_rate\": {:.6},",
                 runtime.rejection_rate()
             );
-            let _ = writeln!(json, "    \"batcher_stalls\": {},", runtime.batcher_stalls);
             let _ = writeln!(
                 json,
                 "    \"batcher_stall_us\": {:.3},",
@@ -1255,7 +1252,6 @@ mod tests {
             queue_capacity: 16,
             submitted: 90,
             rejected: 10,
-            batcher_stalls: 3,
             batcher_stall_us: 250.0,
             queue_depth_max: 12,
             queue_depth_sum: 270,
@@ -1288,7 +1284,6 @@ mod tests {
                 queue_capacity: 64,
                 submitted: 100,
                 rejected: 7,
-                batcher_stalls: 2,
                 batcher_stall_us: 55.0,
                 queue_depth_max: 9,
                 queue_depth_sum: 200,
@@ -1304,7 +1299,7 @@ mod tests {
             "\"runtime\"",
             "\"workers\": 3",
             "\"rejected\": 7",
-            "\"batcher_stalls\": 2",
+            "\"batcher_stall_us\": 55.000",
             "\"queue_depth\"",
             "\"utilization\"",
         ] {

@@ -644,7 +644,7 @@ impl TraceLog {
     }
 
     /// The slow-query log, worst end-to-end latency first.
-    pub fn slow_queries(&self) -> &[QueryTrace] {
+    pub(crate) fn slow_queries(&self) -> &[QueryTrace] {
         &self.slow
     }
 

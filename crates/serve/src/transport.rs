@@ -63,23 +63,23 @@ use crate::shard::Lane;
 use crate::trace::NodeSpan;
 
 /// `LOAD`: install a shard's resident rows.
-pub const KIND_LOAD: u8 = 1;
+pub(crate) const KIND_LOAD: u8 = 1;
 /// `FETCH`: request rows by global id.
-pub const KIND_FETCH: u8 = 2;
+pub(crate) const KIND_FETCH: u8 = 2;
 /// `ROWS`: a fetch response.
 pub const KIND_ROWS: u8 = 3;
 /// `ERROR`: the node rejected a frame.
-pub const KIND_ERROR: u8 = 4;
+pub(crate) const KIND_ERROR: u8 = 4;
 /// `CHAOS`: arm fault injection on the node.
-pub const KIND_CHAOS: u8 = 5;
+pub(crate) const KIND_CHAOS: u8 = 5;
 /// `SHUTDOWN`: stop the node.
-pub const KIND_SHUTDOWN: u8 = 6;
+pub(crate) const KIND_SHUTDOWN: u8 = 6;
 /// `CACHE`: arm the node's hot-row cache (capacity + policy).
-pub const KIND_CACHE: u8 = 7;
+pub(crate) const KIND_CACHE: u8 = 7;
 /// `STATS`: one fetch's node-cache counter deltas (precedes its `ROWS` frame).
-pub const KIND_STATS: u8 = 8;
+pub(crate) const KIND_STATS: u8 = 8;
 /// `NODE_SPAN`: a traced fetch's server-side span (precedes its `ROWS` frame).
-pub const KIND_NODE_SPAN: u8 = 9;
+pub(crate) const KIND_NODE_SPAN: u8 = 9;
 
 /// Upper bound on one frame's length field — a corrupt prefix must not allocate
 /// gigabytes. 256 MiB comfortably holds the largest catalogue partition the
@@ -325,8 +325,14 @@ impl BlobRows {
         let elem_bytes = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")) as usize;
         let dim = u32::from_le_bytes(payload[4..8].try_into().expect("4 bytes")) as usize;
         let count = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes")) as usize;
-        let row_bytes = elem_bytes * dim;
-        if row_bytes == 0 || payload.len() != 12 + count * (4 + row_bytes) {
+        // The three header words are untrusted: a size that overflows is malformed.
+        let row_bytes = elem_bytes.checked_mul(dim).ok_or_else(bad)?;
+        let expected_len = row_bytes
+            .checked_add(4)
+            .and_then(|entry_bytes| entry_bytes.checked_mul(count))
+            .and_then(|entries| entries.checked_add(12))
+            .ok_or_else(bad)?;
+        if row_bytes == 0 || payload.len() != expected_len {
             return Err(bad());
         }
         let mut bytes = Vec::with_capacity(count * row_bytes);
@@ -759,6 +765,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A `LOAD` header is three untrusted `u32`s: sizes whose product overflows are a
+    /// malformed payload, not a panic (debug) or a wrapped length check (release).
+    #[test]
+    fn a_load_header_whose_sizes_overflow_is_invalid_data() {
+        let payload: Vec<u8> = [u32::MAX; 3]
+            .iter()
+            .flat_map(|word| word.to_le_bytes())
+            .collect();
+        let error = BlobRows::decode(&payload).expect_err("overflowing sizes");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

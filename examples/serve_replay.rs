@@ -36,10 +36,9 @@
 //! With `--cache-policy {clock,lfu,tinylfu}`, `--cache-capacity <rows>` and
 //! `--cache-placement {router,shard}` the hot-row cache hierarchy is reconfigured:
 //! the replacement/admission policy, the row budget, and whether the cache lives at
-//! the router (the classic layout) or is split across the shard nodes. With
-//! `--shard-batching` each batch's requests are grouped by home shard before pooling.
-//! All four knobs move only counters and modeled cost — every configuration is
-//! asserted bit-identical to the cache-off control.
+//! the router (the classic layout) or is split across the shard nodes. All three knobs
+//! move only counters and modeled cost — every configuration is asserted bit-identical
+//! to the cache-off control.
 //!
 //! With `--trace-out <path>` every run is traced (seeded head-based sampling, one
 //! query in 8) and a combined Chrome-trace-event JSON — one trace "process" per run,
@@ -93,6 +92,37 @@ fn engine(config: ServeConfig, items: &EmbeddingTable) -> ServeEngine {
         config,
     )
     .expect("valid engine")
+}
+
+/// Flags followed by a value, and flags that stand alone.
+const VALUE_FLAGS: [&str; 12] = [
+    "--shard-node",
+    "--threads",
+    "--shards",
+    "--transport",
+    "--chaos",
+    "--trace-out",
+    "--slow-log",
+    "--metrics-out",
+    "--placement",
+    "--cache-policy",
+    "--cache-placement",
+    "--cache-capacity",
+];
+const SWITCHES: [&str; 1] = ["--smoke"];
+
+/// Refuse any argument that is neither a known flag nor the value after one: a
+/// mistyped flag would otherwise run the default configuration without a word.
+fn reject_unknown_args(args: &[String]) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            rest.next();
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            eprintln!("serve_replay: unknown argument {arg:?}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Parse `--flag value` as a count, failing loudly on a missing or malformed value:
@@ -170,6 +200,7 @@ fn replay_config(queries: usize, item_permutation_seed: Option<u64>) -> ReplayCo
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_args(&args);
     // Shard-node mode: this same binary re-invoked as one shard process of a UDS
     // cluster. Serve until a SHUTDOWN frame (or a chaos kill), then exit.
     if let Some(i) = args.iter().position(|arg| arg == "--shard-node") {
@@ -305,14 +336,12 @@ fn main() {
             }
         },
     };
-    let shard_batching = args.iter().any(|arg| arg == "--shard-batching");
     // The one cache layout every run in this process shares; capacity varies per run
     // (the cache-off control pins bit-identity at capacity 0).
     let serve_config = |capacity: usize| {
         let mut config = ServeConfig::paper_serving(capacity).expect("valid config");
         config.cache_policy = cache_policy;
         config.cache_placement = cache_placement;
-        config.shard_batching = shard_batching;
         config
     };
     let queries = if smoke { 1_000 } else { 10_000 };
