@@ -71,6 +71,7 @@ use crate::clock::Clock;
 use crate::error::ServeError;
 use crate::placement::{Placement, ShardPlan};
 use crate::queue::BoundedQueue;
+use crate::runtime::MAX_THREADS;
 use crate::shard::Lane;
 use crate::telemetry::ClusterStats;
 use crate::transport::{self, SocketLink};
@@ -203,7 +204,8 @@ impl ClusterConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] naming the zero field.
+    /// Returns [`ServeError::InvalidConfig`] naming the zero field, or when
+    /// `shards × workers_per_shard` (and so `shards`) exceeds [`MAX_THREADS`].
     pub fn validate(&self) -> Result<(), ServeError> {
         for (name, value) in [
             ("shards", self.shards),
@@ -215,6 +217,15 @@ impl ClusterConfig {
                     reason: format!("cluster needs a nonzero {name}"),
                 });
             }
+        }
+        let threads = self.shards.checked_mul(self.workers_per_shard);
+        if threads.is_none_or(|threads| threads > MAX_THREADS) {
+            return Err(ServeError::InvalidConfig {
+                reason: format!(
+                    "cluster of {} shards × {} workers exceeds the bound of {MAX_THREADS} threads",
+                    self.shards, self.workers_per_shard
+                ),
+            });
         }
         if let Some(resilience) = &self.resilience {
             resilience.validate()?;
@@ -653,6 +664,24 @@ mod tests {
         assert!(config.validate().is_err());
     }
 
+    #[test]
+    fn config_validation_bounds_the_threads_a_cluster_starts() {
+        // Validator calls only: nothing here spawns a shard node.
+        assert!(ClusterConfig::new(MAX_THREADS, Placement::Range).is_ok());
+        assert!(matches!(
+            ClusterConfig::new(MAX_THREADS + 1, Placement::Range),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+        let mut config = ClusterConfig::new(MAX_THREADS / 2, Placement::Range).unwrap();
+        config.workers_per_shard = 2;
+        assert!(config.validate().is_ok());
+        config.workers_per_shard = 3;
+        assert!(matches!(
+            config.validate(),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+    }
+
     /// The satellite's deterministic concurrency matrix: seeded traces through the
     /// cluster at 1/2/8 shards and 1/4 workers, fp32 and int8, cache on and off —
     /// every configuration bit-identical to the single-node engine.
@@ -1022,6 +1051,20 @@ mod tests {
     /// Memory accounting for cluster loading: spawning an 8-shard cluster must not
     /// copy any rows — every shard storage is an `Arc` handle onto the caller's one
     /// arena allocation, and shutdown releases exactly those handles.
+    #[test]
+    fn a_router_clone_shares_its_plan_and_counters() {
+        let arena = arena_of(&items());
+        let plan = ShardPlan::build(NUM_ITEMS, 2, Placement::Range, 0, None).unwrap();
+        let (client, handle) = spawn_cluster(&arena, plan, &cluster_config(2, 1)).unwrap();
+        let clone = client.clone();
+        assert!(Arc::ptr_eq(&client.plan, &clone.plan));
+        assert!(Arc::ptr_eq(&client.counters, &clone.counters));
+        // An independent router over the same nodes: its replies are its own.
+        assert!(!Arc::ptr_eq(&client.reply, &clone.reply));
+        drop((client, clone));
+        handle.shutdown().unwrap();
+    }
+
     #[test]
     fn cluster_loading_shares_one_arena_allocation_across_shards() {
         let table = items();

@@ -432,6 +432,11 @@ impl<T: Lane> ShardTopology for ClusterClient<T> {
         Some(self.counters.clone())
     }
 
+    #[cfg(test)]
+    fn model_handles(&self) -> usize {
+        Arc::strong_count(&self.plan)
+    }
+
     fn take_missing(&mut self) -> Vec<u32> {
         self.take_missing_rows()
     }

@@ -1,18 +1,16 @@
 //! The serving engine: dynamic batching in front of the sharded, cached embedding layer,
 //! TCAM candidate filtering, and batched DLRM ranking.
 //!
-//! One query flows through the paper's two serving stages:
+//! One batch flows through the paper's pipeline as three stages, each a read-only model
+//! shared by every clone of the engine plus one worker's scratch and cost charge:
 //!
-//! 1. **profile pooling** — the query's multi-hot item history is sum-pooled through the
-//!    hot-row cache and the embedding shards into a user profile vector (the GPCiM
-//!    workload; the engine charges one CMA RAM read per cache *miss* and one in-memory
-//!    add per accumulated row, so the cache hit rate translates directly into modeled
-//!    energy savings);
-//! 2. **filtering + ranking** — the profile is LSH-signed and matched against the item
-//!    signatures in TCAM mode ([`CmaArray::search_batch`], one serialized search charge
-//!    per query), then the profile becomes the dense input of a [`Dlrm`] sample and the
-//!    batch is scored by [`Dlrm::predict_batch_into`] on the worker's own thread, into
-//!    buffers the engine reuses.
+//! 1. **pooling** — each query's multi-hot item history is sum-pooled through the hot-row
+//!    cache and the embedding shards into a user profile (the GPCiM workload: one CMA RAM
+//!    read per cache *miss*, one in-memory add per accumulated row);
+//! 2. **filtering** — the profile is LSH-signed and matched against the item signatures
+//!    in TCAM mode ([`CmaArray::count_batch`], one serialized search charge per query);
+//! 3. **ranking** — the profile is the dense input of a [`Dlrm`] sample, and the batch is
+//!    scored by [`Dlrm::predict_batch_into`] on the worker's own thread.
 //!
 //! Everything downstream of the batcher operates on whole batches, and all numeric
 //! results are bit-identical whether the cache is enabled or not (cached rows are exact
@@ -51,7 +49,7 @@ use crate::placement::ShardPlan;
 use crate::replay::ReplayWorkload;
 use crate::shard::{traced_fetch, Flight, Lane, RowSource, ShardTopology, ShardedTable};
 use crate::telemetry::{ClusterStats, RuntimeStats, ServeReport, ServeTelemetry};
-use crate::trace::{BatchScratch, PoolTrace, TraceConfig, TraceLog, Tracer};
+use crate::trace::{BatchTrace, TraceConfig, TraceLog, Tracer};
 use std::sync::Arc;
 
 /// Numeric format of the item embedding rows the engine serves from.
@@ -295,7 +293,7 @@ impl<T: Lane> Store<T> {
         batch: &PoolingBatch,
         profiles: &mut [T],
         degraded: &mut RowSet,
-        mut trace: Option<&mut PoolTrace>,
+        mut trace: Option<&mut BatchTrace>,
     ) -> Result<Vec<u32>, ServeError> {
         let Self {
             source,
@@ -304,13 +302,7 @@ impl<T: Lane> Store<T> {
         } = self;
         let source = source.as_mut();
         let dim = source.dim();
-        if profiles.len() != batch.len() * dim {
-            return Err(ServeError::ShapeMismatch {
-                what: "pooled profile buffer",
-                expected: batch.len() * dim,
-                actual: profiles.len(),
-            });
-        }
+        debug_assert_eq!(profiles.len(), batch.len() * dim, "pooled profile buffer");
         let lookups = batch.total_lookups() as u64;
         degraded.clear();
         if cache.capacity() == 0 && !source.node_cached() {
@@ -423,47 +415,217 @@ impl ItemStore {
         }
         self.source_mut().reset_stats();
     }
+}
 
-    /// Pool every request's history into a dense f32 profile (`batch.len() × dim`),
-    /// an int8 store through its reused `int8` sums; see [`Store::pool_profiles`] for
-    /// `degraded`, the returned rows and `trace`.
-    fn pool_dense(
+/// The pooling stage: the item store, the scratch its batches pool into, and the GPCiM
+/// charge per CMA row read and per in-memory add, fixed at build. Its model is the
+/// store's row source, shallow to clone already: an in-process arena is one `Arc`, and
+/// a cluster router clone shares its plan and counters. The store's router cache and
+/// flight table are this worker's own.
+#[derive(Debug, Clone)]
+struct PoolStage {
+    store: ItemStore,
+    scratch: PoolScratch,
+    read: Cost,
+    add: Cost,
+}
+
+impl PoolStage {
+    /// Pool every request's history into the dense profiles the other two stages read
+    /// (`dim` per request, in request order; an int8 store pools into its reused sums,
+    /// then dequantizes) and charge it: one CMA RAM read per cache miss (hits are
+    /// served from the buffer next to the compute), one in-memory add per accumulated
+    /// row beyond each request's first, and the RSC bus for cross-shard fetches.
+    /// Zero-filled rows of a degraded cluster, and the queries that touched one, are
+    /// counted in `telemetry`. A warm batch allocates nothing here.
+    fn pool(
         &mut self,
-        batch: &PoolingBatch,
-        dense: &mut [f32],
-        int8: &mut Vec<i8>,
-        degraded: &mut RowSet,
-        trace: Option<&mut PoolTrace>,
-    ) -> Result<Vec<u32>, ServeError> {
-        match self {
-            ItemStore::Fp32(store) => store.pool_profiles(batch, dense, degraded, trace),
+        requests: &[ServeRequest],
+        telemetry: &mut ServeTelemetry,
+        trace: Option<&mut BatchTrace>,
+    ) -> Result<&[f32], ServeError> {
+        let misses_before = self.store.cache_stats().misses;
+        let PoolScratch {
+            batch,
+            dense,
+            int8,
+            degraded,
+        } = &mut self.scratch;
+        batch.refill(requests.iter().map(|request| request.history.as_slice()));
+        dense.resize(requests.len() * self.store.source().dim(), 0.0);
+        let missing = match &mut self.store {
+            ItemStore::Fp32(store) => store.pool_profiles(batch, dense, degraded, trace)?,
             ItemStore::Int8(store, params) => {
-                // Pool the quantized profiles, then dequantize into the model's f32 input.
-                int8.resize(batch.len() * store.source.dim(), 0);
+                int8.resize(dense.len(), 0);
                 let missing = store.pool_profiles(batch, int8, degraded, trace)?;
-                if dense.len() != int8.len() {
-                    return Err(ServeError::ShapeMismatch {
-                        what: "dense profile buffer",
-                        expected: int8.len(),
-                        actual: dense.len(),
-                    });
-                }
                 for (out, &quantized) in dense.iter_mut().zip(int8.iter()) {
                     *out = params.dequantize(quantized);
                 }
-                Ok(missing)
+                missing
+            }
+        };
+        if !missing.is_empty() {
+            telemetry.missing_row_lookups += missing.len() as u64;
+            for i in 0..batch.len() {
+                if batch.request(i).iter().any(|row| degraded.contains(row)) {
+                    telemetry.degraded_queries += 1;
+                }
             }
         }
+        let misses = self
+            .store
+            .cache_stats()
+            .misses
+            .saturating_sub(misses_before);
+        let added = (0..batch.len()).map(|i| batch.request(i).len().saturating_sub(1));
+        let (reads, adds) = (
+            self.read.repeat(misses as usize),
+            self.add.repeat(added.sum()),
+        );
+        telemetry.cost.charge(CostComponent::CmaRead, reads);
+        telemetry.cost.charge(CostComponent::CmaAdd, adds);
+        telemetry.total_cost += reads.serial(adds);
+        let (interconnect, breakdown) = self.store.source_mut().take_interconnect();
+        if interconnect != Cost::ZERO {
+            telemetry.cost.merge(&breakdown);
+            telemetry.total_cost += interconnect;
+        }
+        Ok(dense)
     }
 }
 
-/// The serving engine: model + item store + TCAM filter + telemetry.
-#[derive(Debug, Clone)]
-pub struct ServeEngine {
-    model: Dlrm,
-    store: ItemStore,
+/// The filtering stage's read-only model, one per process: the LSH hasher and the TCAM
+/// loaded with every item row's signature.
+#[derive(Debug)]
+struct FilterModel {
     lsh: RandomHyperplaneLsh,
     tcam: CmaArray,
+}
+
+/// The candidate-filtering stage: the shared [`FilterModel`], the radius it matches
+/// within, and this worker's reused signature and match-count buffers.
+#[derive(Debug, Clone)]
+struct FilterStage {
+    model: Arc<FilterModel>,
+    radius: u32,
+    /// The batch's LSH signatures, flat at `lsh.signature_words()` words per query.
+    signatures: Vec<u64>,
+    /// Each query's TCAM match count, capped at the batch's largest `candidates`.
+    match_counts: Vec<usize>,
+}
+
+impl FilterStage {
+    /// Load a TCAM of array figures `fom` with every item row's signature. The
+    /// signatures are computed on every core, a run of rows per job, and written to the
+    /// TCAM in row order.
+    fn build(
+        items: &EmbeddingTable,
+        config: &ServeConfig,
+        fom: ArrayFom,
+    ) -> Result<Self, ServeError> {
+        let lsh = RandomHyperplaneLsh::new(items.dim(), config.signature_bits, config.lsh_seed)?;
+        let mut tcam = CmaArray::new(items.rows(), config.signature_bits, fom);
+        // About a microsecond per row: enough jobs to keep both cores busy, few enough
+        // that claiming them costs nothing.
+        const ROWS_PER_JOB: usize = 256;
+        let words = lsh.signature_words();
+        let runs = par_map(items.rows().div_ceil(ROWS_PER_JOB), |run| {
+            let rows = run * ROWS_PER_JOB..items.rows().min((run + 1) * ROWS_PER_JOB);
+            let mut signatures = vec![0u64; rows.len() * words];
+            for (row, signature) in rows.zip(signatures.chunks_exact_mut(words)) {
+                lsh.signature_into(items.lookup(row)?, signature)?;
+            }
+            Ok::<_, ServeError>(signatures)
+        });
+        let mut row = 0;
+        for run in runs {
+            for signature in run?.chunks_exact(words) {
+                tcam.write_row_bits(row, signature, config.signature_bits)?;
+                row += 1;
+            }
+        }
+        Ok(Self {
+            model: Arc::new(FilterModel { lsh, tcam }),
+            radius: config.search_radius,
+            signatures: Vec::new(),
+            match_counts: Vec::new(),
+        })
+    }
+
+    /// Sign each dense profile and count its TCAM matches within the radius, one
+    /// serialized search charged per query. A response reports how many rows matched,
+    /// capped at its own `candidates`, not which, so the stage asks the array for the
+    /// counts up to the batch's largest cap; the host twin stops scanning a query there.
+    fn filter(
+        &mut self,
+        requests: &[ServeRequest],
+        dense: &[f32],
+        telemetry: &mut ServeTelemetry,
+    ) -> Result<&[usize], ServeError> {
+        let FilterModel { lsh, tcam } = self.model.as_ref();
+        let signature_words = lsh.signature_words();
+        self.signatures.resize(requests.len() * signature_words, 0);
+        self.match_counts.resize(requests.len(), 0);
+        for (profile, signature) in dense
+            .chunks(lsh.dim())
+            .zip(self.signatures.chunks_mut(signature_words))
+        {
+            lsh.signature_into(profile, signature)?;
+        }
+        let cap = requests.iter().map(|r| r.query.candidates).max();
+        let search = tcam.count_batch(
+            &self.signatures,
+            signature_words,
+            self.radius,
+            cap.unwrap_or_default(),
+            &mut self.match_counts,
+        )?;
+        telemetry.cost.merge(&search.breakdown);
+        telemetry.total_cost += search.cost;
+        Ok(&self.match_counts)
+    }
+}
+
+/// The ranking stage: the shared DLRM, and this worker's model scratch (empty until the
+/// first batch grows it) and score buffer. The serving cost model charges ranking
+/// nothing.
+#[derive(Debug, Clone)]
+struct RankStage {
+    model: Arc<Dlrm>,
+    scratch: DlrmScratch,
+    scores: Vec<f32>,
+}
+
+impl RankStage {
+    /// Score the batch on the worker's own thread: each request's profile, read in
+    /// place from `dense`, is the dense input of its DLRM sample; its categorical ids
+    /// are its own.
+    fn rank(&mut self, requests: &[ServeRequest], dense: &[f32]) -> Result<&[f32], ServeError> {
+        let profiles = dense.chunks_exact(self.model.config().num_dense_features);
+        let samples = requests.iter().zip(profiles).map(|(request, dense)| {
+            let sparse = &request.sparse;
+            DlrmSampleView { dense, sparse }
+        });
+        self.scores.resize(requests.len(), 0.0);
+        self.model
+            .predict_batch_into(samples, &mut self.scratch, &mut self.scores)?;
+        Ok(&self.scores)
+    }
+}
+
+/// The serving engine: the paper's pipeline as three stages — pooling, filtering,
+/// ranking — plus this engine's observers (telemetry, tracer, metrics).
+///
+/// Cloning an engine is how the threaded runtime makes its workers, and it copies no
+/// model: the DLRM and the filter's LSH planes and TCAM sit behind one `Arc` each, and
+/// the row source shares its arena or cluster plan. What a clone copies is per worker:
+/// each stage's scratch, the router's hot-row cache (warm rows included) and flight
+/// table, and the observers, which every clone keeps and reports on its own.
+#[derive(Debug, Clone)]
+pub struct ServeEngine {
+    pool: PoolStage,
+    filter: FilterStage,
+    rank: RankStage,
     config: ServeConfig,
     telemetry: ServeTelemetry,
     tracer: Option<Tracer>,
@@ -471,17 +633,6 @@ pub struct ServeEngine {
     /// arrivals / completions / latencies / faults into fixed event-time windows.
     /// Per-clone state — the threaded runtime merges its workers' scrapers.
     metrics: Option<MetricsScraper>,
-    /// Reused across batches by the filtering stage: the batch's LSH signatures, flat at
-    /// `lsh.signature_words()` words per query, and the TCAM match count of each, capped
-    /// at the batch's largest `candidates`.
-    signatures: Vec<u64>,
-    match_counts: Vec<usize>,
-    /// Reused across batches by the ranking stage: the DLRM's scratch, empty until the
-    /// first batch grows it, and the batch's scores.
-    ranking: DlrmScratch,
-    scores: Vec<f32>,
-    /// Reused across batches by the pooling stage.
-    pool: PoolScratch,
 }
 
 impl ServeEngine {
@@ -590,9 +741,9 @@ impl ServeEngine {
         Self::build(model, items, config, topology).map(Self::with_handle)
     }
 
-    /// The one constructor body: the candidate filter, the catalogue arena in the
-    /// configured precision, the store `topology` asks for over it, and an engine with
-    /// zeroed telemetry.
+    /// The one constructor body: the three stages — the filter, the catalogue arena in
+    /// the configured precision behind the store `topology` asks for, the model — and
+    /// an engine with zeroed telemetry.
     fn build(
         model: Dlrm,
         items: &EmbeddingTable,
@@ -602,7 +753,17 @@ impl ServeEngine {
         if let Topology::Cluster { cluster, .. } = &topology {
             cluster.validate()?;
         }
-        let (lsh, tcam) = Self::build_filter(&model, items, &config)?;
+        if model.config().num_dense_features != items.dim() {
+            return Err(ServeError::InvalidConfig {
+                reason: format!(
+                    "the DLRM dense input is the pooled item profile: num_dense_features ({}) must equal the item embedding dim ({})",
+                    model.config().num_dense_features,
+                    items.dim()
+                ),
+            });
+        }
+        let fom = ArrayFom::paper_reference();
+        let filter = FilterStage::build(items, &config, fom)?;
         let (store, handle) = match config.precision {
             ServePrecision::Fp32 => {
                 let arena = RowArena::from_rows(items.iter_rows(), items.dim())
@@ -619,19 +780,22 @@ impl ServeEngine {
             }
         };
         let engine = Self {
-            ranking: model.scratch(),
-            scores: Vec::new(),
-            pool: PoolScratch::default(),
-            model,
-            store,
-            lsh,
-            tcam,
+            pool: PoolStage {
+                store,
+                scratch: PoolScratch::default(),
+                read: Cost::from_fom(fom.cma.read),
+                add: Cost::from_fom(fom.cma.add),
+            },
+            filter,
+            rank: RankStage {
+                scratch: model.scratch(),
+                scores: Vec::new(),
+                model: Arc::new(model),
+            },
             config,
             telemetry: ServeTelemetry::default(),
             tracer: None,
             metrics: None,
-            signatures: Vec::new(),
-            match_counts: Vec::new(),
         };
         Ok((engine, handle))
     }
@@ -644,51 +808,6 @@ impl ServeEngine {
         )
     }
 
-    /// The candidate-filtering stage: the LSH hasher plus a TCAM loaded with every item
-    /// row's signature. The signatures are computed on every core, a run of rows per
-    /// job, and written to the TCAM in row order.
-    fn build_filter(
-        model: &Dlrm,
-        items: &EmbeddingTable,
-        config: &ServeConfig,
-    ) -> Result<(RandomHyperplaneLsh, CmaArray), ServeError> {
-        if model.config().num_dense_features != items.dim() {
-            return Err(ServeError::InvalidConfig {
-                reason: format!(
-                    "the DLRM dense input is the pooled item profile: num_dense_features ({}) must equal the item embedding dim ({})",
-                    model.config().num_dense_features,
-                    items.dim()
-                ),
-            });
-        }
-        let lsh = RandomHyperplaneLsh::new(items.dim(), config.signature_bits, config.lsh_seed)?;
-        let mut tcam = CmaArray::new(
-            items.rows(),
-            config.signature_bits,
-            ArrayFom::paper_reference(),
-        );
-        // About a microsecond per row: enough jobs to keep both cores busy, few enough
-        // that claiming them costs nothing.
-        const ROWS_PER_JOB: usize = 256;
-        let words = lsh.signature_words();
-        let runs = par_map(items.rows().div_ceil(ROWS_PER_JOB), |run| {
-            let rows = run * ROWS_PER_JOB..items.rows().min((run + 1) * ROWS_PER_JOB);
-            let mut signatures = vec![0u64; rows.len() * words];
-            for (row, signature) in rows.zip(signatures.chunks_exact_mut(words)) {
-                lsh.signature_into(items.lookup(row)?, signature)?;
-            }
-            Ok::<_, ServeError>(signatures)
-        });
-        let mut row = 0;
-        for run in runs {
-            for signature in run?.chunks_exact(words) {
-                tcam.write_row_bits(row, signature, config.signature_bits)?;
-                row += 1;
-            }
-        }
-        Ok((lsh, tcam))
-    }
-
     /// The engine configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.config
@@ -696,33 +815,45 @@ impl ServeEngine {
 
     /// Number of items in the catalogue.
     pub fn num_items(&self) -> usize {
-        self.tcam.rows()
+        self.filter.model.tcam.rows()
     }
 
     /// Number of embedding shards actually created (may be fewer than requested for a
     /// small catalogue).
     pub(crate) fn num_shards(&self) -> usize {
-        self.store.source().num_shards()
+        self.pool.store.source().num_shards()
     }
 
     /// Bytes of item-row storage resident in the engine's shared arena — the
     /// memory-accounting figure the paper-scale study reports. `None` when the
     /// catalogue lives on a cluster's shard nodes rather than in-process.
     pub fn catalogue_resident_bytes(&self) -> Option<usize> {
-        self.store.source().resident_bytes()
+        self.pool.store.source().resident_bytes()
     }
 
     /// Cache counters accumulated so far.
     pub(crate) fn cache_stats(&self) -> CacheStats {
-        self.store.cache_stats()
+        self.pool.store.cache_stats()
     }
 
     /// Shard-cluster counters (None when serving from the in-process table).
     pub(crate) fn cluster_stats(&self) -> Option<ClusterStats> {
-        self.store
+        self.pool
+            .store
             .source()
             .cluster_counters()
             .map(|counters| counters.snapshot())
+    }
+
+    /// Live handles on each stage's read-only model: the pooling stage's row source,
+    /// the filter's LSH and TCAM, and the ranking DLRM.
+    #[cfg(test)]
+    pub(crate) fn model_handles(&self) -> [usize; 3] {
+        [
+            self.pool.store.source().model_handles(),
+            Arc::strong_count(&self.filter.model),
+            Arc::strong_count(&self.rank.model),
+        ]
     }
 
     /// Serving counters accumulated so far.
@@ -735,7 +866,7 @@ impl ServeEngine {
     /// worker's engine clone so per-worker counters start from zero.
     pub(crate) fn reset_stats(&mut self) {
         self.telemetry = ServeTelemetry::default();
-        self.store.reset_cache_stats();
+        self.pool.store.reset_cache_stats();
         if let Some(tracer) = &mut self.tracer {
             tracer.reset();
         }
@@ -743,7 +874,7 @@ impl ServeEngine {
             let config = MetricsConfig {
                 interval_us: scraper.interval_us(),
             };
-            *scraper = MetricsScraper::new(&config, self.store.source().num_shards());
+            *scraper = MetricsScraper::new(&config, self.pool.store.source().num_shards());
         }
     }
 
@@ -793,31 +924,11 @@ impl ServeEngine {
             .unwrap_or_default()
     }
 
-    /// Pool `requests` into [`PoolScratch::batch`] and [`PoolScratch::dense`], through
-    /// the scratch buffers the engine keeps, so a warm batch allocates nothing here.
-    fn pool_batch_dense(
-        &mut self,
-        requests: &[ServeRequest],
-        pool_trace: Option<&mut PoolTrace>,
-    ) -> Result<Vec<u32>, ServeError> {
-        let dense_dim = self.model.config().num_dense_features;
-        let pool = &mut self.pool;
-        pool.batch
-            .refill(requests.iter().map(|request| request.history.as_slice()));
-        pool.dense.resize(requests.len() * dense_dim, 0.0);
-        self.store.pool_dense(
-            &pool.batch,
-            &mut pool.dense,
-            &mut pool.int8,
-            &mut pool.degraded,
-            pool_trace,
-        )
-    }
-
-    /// Execute one coalesced batch through pooling, filtering and ranking. Responses are
-    /// in request order with `latency_us` zero (the replay driver fills latencies from
-    /// its clock). Once warm, an untraced batch allocates two things: the returned
-    /// responses and the TCAM search's cost breakdown.
+    /// Execute one coalesced batch through the three stages: pooling, filtering and
+    /// ranking, each charging its own cost. Responses are in request order with
+    /// `latency_us` zero (the replay driver fills latencies from its clock). Once warm,
+    /// an untraced batch allocates two things: the returned responses and the TCAM
+    /// search's cost breakdown.
     ///
     /// # Errors
     ///
@@ -830,120 +941,28 @@ impl ServeEngine {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let dense_dim = self.model.config().num_dense_features;
-
         // Per-batch trace gate: only a batch containing a sampled query pays any
         // tracing work — every other batch takes the exact untraced code path.
-        let mut pool_trace = match &self.tracer {
+        let mut trace = match &self.tracer {
             Some(tracer) if tracer.wants(requests.iter().map(|r| r.id)) => {
-                Some(PoolTrace::new(tracer.clock()))
+                Some(BatchTrace::new(tracer.clock()))
             }
             _ => None,
         };
-        let pool_begin_us = pool_trace.as_ref().map(|t| t.clock.now_us());
-
-        // 1. Profile pooling through cache + shards, with the GPCiM charge: one CMA RAM
-        //    read per cache miss (hits are served from the buffer next to the compute),
-        //    one in-memory add per accumulated row beyond each request's first.
-        let misses_before = self.store.cache_stats().misses;
-        let missing = self.pool_batch_dense(requests, pool_trace.as_mut())?;
-        let pool_end_us = pool_trace.as_ref().map(|t| t.clock.now_us());
-        let PoolScratch {
-            batch,
-            dense,
-            degraded,
-            ..
-        } = &self.pool;
-        if !missing.is_empty() {
-            // Degraded-mode accounting: every zero-filled row, and every query whose
-            // pooled history touched one, is visible in the replay report.
-            self.telemetry.missing_row_lookups += missing.len() as u64;
-            for i in 0..batch.len() {
-                if batch.request(i).iter().any(|row| degraded.contains(row)) {
-                    self.telemetry.degraded_queries += 1;
-                }
-            }
+        let dense = self
+            .pool
+            .pool(requests, &mut self.telemetry, trace.as_mut())?;
+        if let Some(trace) = &mut trace {
+            trace.pool_end_us = trace.clock.now_us();
         }
-        let misses = self
-            .store
-            .cache_stats()
-            .misses
-            .saturating_sub(misses_before) as usize;
-        let read = Cost::from_fom(self.tcam.fom().cma.read);
-        let add = Cost::from_fom(self.tcam.fom().cma.add);
-        let adds: usize = (0..batch.len())
-            .map(|i| batch.request(i).len().saturating_sub(1))
-            .sum();
-        self.telemetry
-            .cost
-            .charge(CostComponent::CmaRead, read.repeat(misses));
-        self.telemetry
-            .cost
-            .charge(CostComponent::CmaAdd, add.repeat(adds));
-        self.telemetry.total_cost += read.repeat(misses).serial(add.repeat(adds));
-        // Cross-shard fetches pay the RSC bus (multi-node stores only).
-        let (interconnect, interconnect_breakdown) = self.store.source_mut().take_interconnect();
-        if interconnect != Cost::ZERO {
-            self.telemetry.cost.merge(&interconnect_breakdown);
-            self.telemetry.total_cost += interconnect;
+        let match_counts = self.filter.filter(requests, dense, &mut self.telemetry)?;
+        if let Some(trace) = &mut trace {
+            trace.filter_end_us = trace.clock.now_us();
         }
-
-        // 2. Candidate filtering: LSH signatures matched in TCAM mode, one serialized
-        //    search per query. A response reports how many rows matched, capped at its
-        //    own `candidates`, not which, so the engine asks the array for the counts up
-        //    to the batch's largest cap; the host twin stops scanning a query there.
-        let signature_words = self.lsh.signature_words();
-        self.signatures.resize(requests.len() * signature_words, 0);
-        self.match_counts.resize(requests.len(), 0);
-        for (profile, signature) in dense
-            .chunks(dense_dim)
-            .zip(self.signatures.chunks_mut(signature_words))
-        {
-            self.lsh.signature_into(profile, signature)?;
-        }
-        let cap = requests.iter().map(|r| r.query.candidates).max();
-        let search = self.tcam.count_batch(
-            &self.signatures,
-            signature_words,
-            self.config.search_radius,
-            cap.unwrap_or_default(),
-            &mut self.match_counts,
-        )?;
-        let filter_end_us = pool_trace.as_ref().map(|t| t.clock.now_us());
-        self.telemetry.cost.merge(&search.breakdown);
-        self.telemetry.total_cost += search.cost;
-
-        // 3. Ranking: each request's profile, read in place from the dense buffer, is
-        //    the dense input of its DLRM sample; its categorical ids are its own.
-        let samples =
-            requests
-                .iter()
-                .zip(dense.chunks_exact(dense_dim))
-                .map(|(request, profile)| DlrmSampleView {
-                    dense: profile,
-                    sparse: &request.sparse,
-                });
-        self.scores.resize(requests.len(), 0.0);
-        self.model
-            .predict_batch_into(samples, &mut self.ranking, &mut self.scores)?;
-        if let Some(pool) = pool_trace.take() {
-            let scratch = BatchScratch {
-                pool_begin_us: pool_begin_us.unwrap_or(0.0),
-                pool_end_us: pool_end_us.unwrap_or(0.0),
-                filter_end_us: filter_end_us.unwrap_or(0.0),
-                rank_end_us: pool.clock.now_us(),
-                fetch_begin_us: pool.fetch_begin_us,
-                fetch_end_us: pool.fetch_end_us,
-                hits: pool.hits,
-                misses: pool.misses,
-                coalesced: pool.coalesced,
-                events: pool.events,
-                node_spans: pool.node_spans,
-            };
-            self.tracer
-                .as_mut()
-                .expect("pool trace implies a tracer")
-                .stash(scratch);
+        let scores = self.rank.rank(requests, dense)?;
+        if let (Some(mut trace), Some(tracer)) = (trace, &mut self.tracer) {
+            trace.rank_end_us = trace.clock.now_us();
+            tracer.stash(trace);
         }
 
         self.telemetry.queries += requests.len() as u64;
@@ -951,8 +970,8 @@ impl ServeEngine {
         self.telemetry.batch_size_sum += requests.len() as u64;
         let responses = requests
             .iter()
-            .zip(&self.scores)
-            .zip(&self.match_counts)
+            .zip(scores)
+            .zip(match_counts)
             .map(|((request, &score), &matches)| {
                 let candidates = matches.min(request.query.candidates);
                 self.telemetry.candidates_sum += candidates as u64;
@@ -1012,7 +1031,7 @@ impl ServeEngine {
         let report = self.report(
             "serve_replay",
             self.telemetry.clone(),
-            self.store.cache_stats(),
+            self.pool.store.cache_stats(),
             None,
             self.metrics.as_ref(),
         );
@@ -1071,7 +1090,7 @@ impl ServeEngine {
         let marker = self
             .metrics
             .as_ref()
-            .map(|_| self.store.router_cache_stats());
+            .map(|_| self.pool.store.router_cache_stats());
         let started = Instant::now();
         let mut responses = self.process_batch(requests)?;
         let service_us = started.elapsed().as_secs_f64() * 1e6;
@@ -1109,8 +1128,8 @@ impl ServeEngine {
         if let (Some(before), Some(scraper)) = (marker, &mut self.metrics) {
             // On the measured timeline arrivals are the submit stamps, so the per-window
             // queue depth reflects what producers actually experienced.
-            let after = self.store.router_cache_stats();
-            let faults = self.store.source_mut().take_fault_deltas();
+            let after = self.pool.store.router_cache_stats();
+            let faults = self.pool.store.source_mut().take_fault_deltas();
             for request in requests {
                 scraper.record_arrival(request.arrival_us);
             }
@@ -1236,7 +1255,7 @@ mod tests {
         }
         for row in 0..1000 {
             assert_eq!(
-                engine.tcam.read_row_bits(row).unwrap().value,
+                engine.filter.model.tcam.read_row_bits(row).unwrap().value,
                 serial.read_row_bits(row).unwrap().value,
                 "row {row}"
             );
@@ -1408,12 +1427,14 @@ mod tests {
         let mut engine = engine(0, ServePrecision::Fp32);
         let responses = engine.process_batch(&requests).unwrap();
         // The uncapped match lists of the same signatures, from the list search.
-        let signatures: Vec<Vec<u64>> = engine
-            .signatures
-            .chunks(engine.lsh.signature_words())
+        let FilterStage {
+            model, signatures, ..
+        } = &engine.filter;
+        let signatures: Vec<Vec<u64>> = signatures
+            .chunks(model.lsh.signature_words())
             .map(<[u64]>::to_vec)
             .collect();
-        let lists = engine
+        let lists = model
             .tcam
             .search_batch(&signatures, engine.config.search_radius)
             .unwrap()
@@ -1763,8 +1784,8 @@ mod tests {
                     let bits =
                         |dense: &[f32]| dense.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
-                        bits(&cached.pool.dense),
-                        bits(&uncached.pool.dense),
+                        bits(&cached.pool.scratch.dense),
+                        bits(&uncached.pool.scratch.dense),
                         "{precision:?} capacity {capacity}"
                     );
                     assert_eq!(served, reference, "{precision:?} capacity {capacity}");

@@ -43,50 +43,16 @@ pub enum ServeError {
         /// The shard whose node failed.
         shard: usize,
     },
-    /// A sub-request to a shard exceeded its deadline without a response. Retryable:
-    /// the shard may be stalled rather than dead, and replicated rows can be served
-    /// from another shard.
-    Timeout {
-        /// The shard that did not answer in time.
-        shard: usize,
-        /// Time waited before giving up, microseconds.
-        elapsed_us: f64,
-    },
     /// The transport link to a shard node closed (socket EOF, write error, or the node
-    /// process exited). Retryable against replicas; fatal for rows only that shard owns.
+    /// process exited).
     TransportClosed {
         /// The shard whose link closed.
         shard: usize,
-    },
-    /// A fetch completed in degraded mode: some rows could not be served (their owner
-    /// was dead and they had no replica) and were zero-filled. The request finished,
-    /// but its result may differ from the healthy run for the affected rows.
-    Degraded {
-        /// The shard whose rows were unavailable.
-        shard: usize,
-        /// Number of lookups that were zero-filled.
-        missing_rows: usize,
     },
     /// An error bubbled up from the model layer.
     Recsys(RecsysError),
     /// An error bubbled up from the fabric simulator.
     Fabric(FabricError),
-}
-
-impl ServeError {
-    /// Whether a fault-tolerant router may retry the operation (against the same shard
-    /// or a replica) instead of failing the request — a structural property of the
-    /// variant, so callers never have to string-match messages.
-    #[cfg(test)]
-    pub(crate) fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            ServeError::Timeout { .. }
-                | ServeError::TransportClosed { .. }
-                | ServeError::ShardFailed { .. }
-                | ServeError::QueueFull { .. }
-        )
-    }
 }
 
 impl fmt::Display for ServeError {
@@ -118,23 +84,8 @@ impl fmt::Display for ServeError {
             ServeError::ShardFailed { shard } => {
                 write!(f, "shard node {shard} failed with sub-requests outstanding")
             }
-            ServeError::Timeout { shard, elapsed_us } => {
-                write!(
-                    f,
-                    "shard {shard} timed out after {elapsed_us:.0} us without a response"
-                )
-            }
             ServeError::TransportClosed { shard } => {
                 write!(f, "transport link to shard {shard} closed")
-            }
-            ServeError::Degraded {
-                shard,
-                missing_rows,
-            } => {
-                write!(
-                    f,
-                    "degraded fetch: shard {shard} unavailable, {missing_rows} row lookups zero-filled"
-                )
             }
             ServeError::Recsys(e) => write!(f, "model layer: {e}"),
             ServeError::Fabric(e) => write!(f, "fabric layer: {e}"),
@@ -180,39 +131,8 @@ mod tests {
         assert!(ServeError::RuntimeStopped.to_string().contains("stopped"));
         let e = ServeError::ShardFailed { shard: 3 };
         assert!(e.to_string().contains('3'));
-        let e = ServeError::Timeout {
-            shard: 2,
-            elapsed_us: 1500.0,
-        };
-        assert!(e.to_string().contains('2'));
-        assert!(e.to_string().contains("1500"));
         let e = ServeError::TransportClosed { shard: 1 };
         assert!(e.to_string().contains("shard 1"));
-        let e = ServeError::Degraded {
-            shard: 0,
-            missing_rows: 12,
-        };
-        assert!(e.to_string().contains("12"));
-        assert!(e.to_string().contains("degraded"));
-    }
-
-    #[test]
-    fn retryability_is_structural_not_string_matched() {
-        assert!(ServeError::Timeout {
-            shard: 0,
-            elapsed_us: 1.0
-        }
-        .is_retryable());
-        assert!(ServeError::TransportClosed { shard: 0 }.is_retryable());
-        assert!(ServeError::ShardFailed { shard: 0 }.is_retryable());
-        assert!(ServeError::QueueFull { capacity: 4 }.is_retryable());
-        assert!(!ServeError::RuntimeStopped.is_retryable());
-        assert!(!ServeError::Degraded {
-            shard: 0,
-            missing_rows: 1
-        }
-        .is_retryable());
-        assert!(!ServeError::RowOutOfRange { row: 1, rows: 1 }.is_retryable());
     }
 
     #[test]

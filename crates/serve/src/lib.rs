@@ -90,7 +90,9 @@ pub use metrics::{
 pub use placement::{Placement, ShardPlan, ShardSplit, SubBatch};
 pub use queue::{BoundedQueue, Pop, PushError};
 pub use replay::{ReplayConfig, ReplayWorkload};
-pub use runtime::{replay_threaded, RuntimeConfig, ServeRuntime, ThreadedReplayConfig};
+pub use runtime::{
+    replay_threaded, RuntimeConfig, ServeRuntime, ThreadedReplayConfig, MAX_THREADS,
+};
 pub use shard::{shard_embedding, shard_quantized, Lane, ShardedTable};
 pub use telemetry::{
     ClusterStats, LatencyHistogram, RuntimeStats, ServeReport, ServeTelemetry, StageBreakdown,

@@ -23,11 +23,12 @@
 //! for byte across worker counts see batches that are a function of the trace.
 //!
 //! The request queue is bounded, so overload surfaces as *counted* rejections instead of
-//! unbounded memory growth. Each worker owns a full engine clone (shards, cache, TCAM,
-//! model) — no locks on the hot path, and because cached rows are exact copies and
-//! pooling order is request order, per-request outputs are **bit-identical** to the
-//! simulated single-pipeline path no matter how batches land on workers (pinned by the
-//! cross-path equivalence tests).
+//! unbounded memory growth. Each worker serves on an engine clone that shares every
+//! read-only model and owns only its scratch, router cache and observers — no locks on
+//! the hot path, and because cached rows are exact copies and pooling order is request
+//! order, per-request outputs are **bit-identical** to the simulated single-pipeline
+//! path no matter how batches land on workers (pinned by the cross-path equivalence
+//! tests).
 //!
 //! [`replay_threaded`] drives a [`ReplayWorkload`] through the runtime with Poisson
 //! arrivals paced in real time and reports measured p50/p95/p99 latency, queue depth,
@@ -53,10 +54,16 @@ use crate::trace::TraceLog;
 /// bounds how stale its view of the non-advancing clock can get.
 const PENDING_POLL_CAP_US: f64 = 1_000.0;
 
+/// The most OS threads one configuration may ask for: runtime workers, or shard nodes
+/// times their workers (over sockets, one process per node). Both validators refuse a
+/// count above it before anything is spawned, so a mistyped count cannot start thousands.
+pub const MAX_THREADS: usize = 256;
+
 /// Configuration of the threaded runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Worker threads: each forms its own batches and owns a full engine clone.
+    /// Worker threads, at most [`MAX_THREADS`]: each forms its own batches and serves
+    /// them on its own engine clone (see [`ServeRuntime::start`]).
     pub workers: usize,
     /// Capacity of the bounded request queue — the backpressure bound.
     pub queue_capacity: usize,
@@ -77,24 +84,27 @@ impl RuntimeConfig {
         Ok(config)
     }
 
-    /// Validate the configuration (zero workers or a zero-capacity queue are typed
-    /// errors, not panics: a caller wiring config from a CLI gets a `Result`).
+    /// Validate the configuration (zero workers, more than [`MAX_THREADS`] workers or
+    /// a zero-capacity queue are typed errors, not panics: a caller wiring config from a
+    /// CLI gets a `Result`, and no thread is spawned).
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] naming the zero field.
+    /// Returns [`ServeError::InvalidConfig`] naming the bad field.
     pub fn validate(&self) -> Result<(), ServeError> {
-        if self.workers == 0 {
-            return Err(ServeError::InvalidConfig {
-                reason: "threaded runtime needs at least one worker".to_string(),
-            });
-        }
-        if self.queue_capacity == 0 {
-            return Err(ServeError::InvalidConfig {
-                reason: "threaded runtime needs a request queue capacity >= 1".to_string(),
-            });
-        }
-        Ok(())
+        let reason = if self.workers == 0 {
+            "threaded runtime needs at least one worker".to_string()
+        } else if self.workers > MAX_THREADS {
+            format!(
+                "threaded runtime workers ({}) exceed the bound of {MAX_THREADS}",
+                self.workers
+            )
+        } else if self.queue_capacity == 0 {
+            "threaded runtime needs a request queue capacity >= 1".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(ServeError::InvalidConfig { reason })
     }
 }
 
@@ -128,12 +138,14 @@ pub struct ServeRuntime {
 impl ServeRuntime {
     /// Start the runtime: spawn `config.workers` worker threads, each owning a clone of
     /// `engine` (with counters reset) and forming its own batches from the shared
-    /// request queue. The batching policy is taken from the engine's
+    /// request queue. A clone shares `engine`'s models and copies its router cache (warm
+    /// rows included), which each worker then warms on its own. The batching policy is taken from the engine's
     /// [`ServeConfig`](crate::engine::ServeConfig); deadlines are evaluated on `clock`.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for a zero worker count or queue capacity.
+    /// Returns [`ServeError::InvalidConfig`] for a zero or above-[`MAX_THREADS`] worker
+    /// count or a zero queue capacity.
     pub fn start(
         engine: &ServeEngine,
         config: RuntimeConfig,
@@ -549,6 +561,7 @@ mod tests {
     use super::*;
     use crate::batcher::BatchPolicy;
     use crate::clock::ManualClock;
+    use crate::cluster::ClusterConfig;
     use crate::engine::{ServeConfig, ServePrecision};
     use crate::replay::ReplayConfig;
     use imars_datasets::workload::InferenceQuery;
@@ -637,6 +650,51 @@ mod tests {
             replay_threaded(&engine, &workload, &bad),
             Err(ServeError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn worker_counts_above_the_thread_bound_are_typed_errors() {
+        // Validator calls only: no runtime is started at or above the bound.
+        assert!(RuntimeConfig::new(MAX_THREADS, 1).is_ok());
+        assert!(matches!(
+            RuntimeConfig::new(MAX_THREADS + 1, 1),
+            Err(ServeError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn runtime_workers_share_every_read_only_model() {
+        let items = EmbeddingTable::new(NUM_ITEMS, ITEM_DIM, 31).unwrap();
+        let model = || Dlrm::new(DlrmConfig::tiny()).unwrap();
+        let policy = BatchPolicy::new(8, 100.0).unwrap();
+        let int8 = ServeConfig {
+            precision: ServePrecision::Int8,
+            ..engine_with_policy(policy).config().clone()
+        };
+        let cluster = ClusterConfig::new(2, crate::placement::Placement::Range).unwrap();
+        let (clustered, handle) =
+            ServeEngine::new_clustered(model(), &items, int8.clone(), &cluster, None).unwrap();
+        let engines = [
+            engine_with_policy(policy),
+            ServeEngine::new(model(), &items, int8).unwrap(),
+            clustered,
+        ];
+        for engine in &engines {
+            let before = engine.model_handles();
+            // One copy per process: only the engine holds the filter and the model.
+            assert_eq!(before[1..], [1, 1]);
+            let runtime = ServeRuntime::start(
+                engine,
+                RuntimeConfig::new(2, 16).unwrap(),
+                Arc::new(ManualClock::new()),
+            )
+            .unwrap();
+            // Each worker's clone is one more handle on every model, not a copy.
+            assert_eq!(engine.model_handles(), before.map(|handles| handles + 2));
+            runtime.shutdown().unwrap();
+            assert_eq!(engine.model_handles(), before);
+        }
+        handle.shutdown().unwrap();
     }
 
     #[test]

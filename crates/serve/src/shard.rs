@@ -27,7 +27,7 @@ use imars_recsys::quantization::QuantizedTable;
 use crate::cache::{CachePolicy, CacheStats, HotRowCache, RowMap};
 use crate::cluster::ClusterCounters;
 use crate::error::ServeError;
-use crate::trace::PoolTrace;
+use crate::trace::BatchTrace;
 
 /// A row element that can be pool-accumulated. `f32` uses plain addition (the
 /// [`EmbeddingTable`] semantics); `i8` uses saturating addition (the GPCiM accumulator
@@ -211,6 +211,11 @@ pub(crate) trait ShardTopology: Send + Sync + std::fmt::Debug {
     fn node_cached(&self) -> bool {
         false
     }
+
+    /// Live handles on the read-only model this source serves from — its row arena, or
+    /// a cluster's shard plan — which every clone shares.
+    #[cfg(test)]
+    fn model_handles(&self) -> usize;
 }
 
 impl<T: Lane> Clone for Box<dyn RowSource<T>> {
@@ -225,7 +230,7 @@ impl<T: Lane> Clone for Box<dyn RowSource<T>> {
 /// engine that never traced.
 pub(crate) fn traced_fetch<S: ShardTopology + ?Sized, R>(
     source: &mut S,
-    trace: Option<&mut PoolTrace>,
+    trace: Option<&mut BatchTrace>,
     fetch: impl FnOnce(&mut S) -> R,
 ) -> R {
     let Some(trace) = trace else {
@@ -280,7 +285,7 @@ impl<T: Lane> Flight<T> {
         source: &mut S,
         indices: &[u32],
         mut probe: impl FnMut(u32) -> Option<usize>,
-        trace: Option<&mut PoolTrace>,
+        trace: Option<&mut BatchTrace>,
     ) -> Result<(), ServeError> {
         self.dim = source.dim();
         self.sources.clear();
@@ -641,6 +646,11 @@ impl<T: Lane> ShardTopology for ShardedTable<T> {
         Some(self.arena.resident_bytes())
     }
 
+    #[cfg(test)]
+    fn model_handles(&self) -> usize {
+        self.arena.handle_count()
+    }
+
     fn node_cached(&self) -> bool {
         ShardedTable::node_cached(self)
     }
@@ -700,6 +710,14 @@ mod tests {
             ShardedTable::from_rows(ragged, 2, 2),
             Err(ServeError::ShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_table_clone_shares_its_arena() {
+        let sharded = ShardedTable::from_arena(table(64, 4, 1).into_arena(), 4).unwrap();
+        let clone = sharded.clone();
+        assert!(clone.arena().shares_storage(sharded.arena()));
+        assert_eq!(sharded.arena().handle_count(), 2);
     }
 
     /// The arena tentpole's memory accounting: sharding a table moves ONE allocation

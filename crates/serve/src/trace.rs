@@ -273,51 +273,18 @@ impl QueryTrace {
     }
 }
 
-/// Pooling-phase trace capture, threaded down through
-/// [`RowSource`](crate::shard::RowSource) so the cluster router can attach its events.
-#[derive(Debug)]
-pub(crate) struct PoolTrace {
-    /// The tracer's clock: fetch events are stamped on this timeline so a frozen
-    /// manual clock freezes them too.
-    pub clock: Arc<dyn Clock>,
-    /// Cache hits over the batch.
-    pub hits: u64,
-    /// Cache misses (fetched rows) over the batch.
-    pub misses: u64,
-    /// Coalesced misses over the batch.
-    pub coalesced: u64,
-    /// Fetch window start on the tracer clock.
-    pub fetch_begin_us: f64,
-    /// Fetch window end on the tracer clock.
-    pub fetch_end_us: f64,
-    /// Router events drained from the row source after the fetch.
-    pub events: Vec<FetchEvent>,
-    /// Shard-node server spans drained from the row source after the fetch.
-    pub node_spans: Vec<NodeSpanRecord>,
-}
-
-impl PoolTrace {
-    pub(crate) fn new(clock: Arc<dyn Clock>) -> Self {
-        Self {
-            clock,
-            hits: 0,
-            misses: 0,
-            coalesced: 0,
-            fetch_begin_us: 0.0,
-            fetch_end_us: 0.0,
-            events: Vec::new(),
-            node_spans: Vec::new(),
-        }
-    }
-}
-
-/// Measured marks of one traced batch, staged between `process_batch` and the
+/// The measured marks of one traced batch: stamped by `process_batch` at each stage's
+/// end, threaded down through [`RowSource`](crate::shard::RowSource) so the cluster
+/// router can attach its fetch events, and staged in the [`Tracer`] until the
 /// path-specific finalization (which knows completion times).
 #[derive(Debug, Clone)]
-pub(crate) struct BatchScratch {
-    /// Pooling start on the tracer clock.
+pub(crate) struct BatchTrace {
+    /// The tracer's clock: marks and fetch events are stamped on this timeline so a
+    /// frozen manual clock freezes them too.
+    pub clock: Arc<dyn Clock>,
+    /// Pooling start.
     pub pool_begin_us: f64,
-    /// Pooling end (cache + fetch + accumulate done).
+    /// Pooling end (cache + fetch + accumulate + charge done).
     pub pool_end_us: f64,
     /// NNS filtering end.
     pub filter_end_us: f64,
@@ -327,16 +294,36 @@ pub(crate) struct BatchScratch {
     pub fetch_begin_us: f64,
     /// Fetch window end.
     pub fetch_end_us: f64,
-    /// Batch-wide cache hits.
+    /// Cache hits over the batch.
     pub hits: u64,
-    /// Batch-wide cache misses.
+    /// Cache misses (fetched rows) over the batch.
     pub misses: u64,
-    /// Batch-wide coalesced misses.
+    /// Coalesced misses over the batch.
     pub coalesced: u64,
-    /// Router events recorded during the fetch, on the tracer clock.
+    /// Router events drained from the row source after the fetch.
     pub events: Vec<FetchEvent>,
-    /// Shard-node server spans that arrived with the fetch's replies.
+    /// Shard-node server spans drained from the row source after the fetch.
     pub node_spans: Vec<NodeSpanRecord>,
+}
+
+impl BatchTrace {
+    /// A batch trace whose pooling starts now on `clock`.
+    pub(crate) fn new(clock: Arc<dyn Clock>) -> Self {
+        Self {
+            pool_begin_us: clock.now_us(),
+            clock,
+            pool_end_us: 0.0,
+            filter_end_us: 0.0,
+            rank_end_us: 0.0,
+            fetch_begin_us: 0.0,
+            fetch_end_us: 0.0,
+            hits: 0,
+            misses: 0,
+            coalesced: 0,
+            events: Vec::new(),
+            node_spans: Vec::new(),
+        }
+    }
 }
 
 /// The per-engine tracer: sampling config, injected clock, staged batch marks, and the
@@ -345,7 +332,7 @@ pub(crate) struct BatchScratch {
 pub(crate) struct Tracer {
     config: TraceConfig,
     clock: Arc<dyn Clock>,
-    pending: Option<BatchScratch>,
+    pending: Option<BatchTrace>,
     log: TraceLog,
 }
 
@@ -380,8 +367,8 @@ impl Tracer {
     }
 
     /// Stage a finished batch's marks until the serving path finalizes them.
-    pub(crate) fn stash(&mut self, scratch: BatchScratch) {
-        self.pending = Some(scratch);
+    pub(crate) fn stash(&mut self, trace: BatchTrace) {
+        self.pending = Some(trace);
     }
 
     /// Reset the log and any staged batch (worker clones call this via
@@ -941,7 +928,8 @@ mod tests {
         });
         tracer.set_clock(Arc::new(ManualClock::new()));
         // Measured marks with a wall-clock-like origin of 1000us.
-        tracer.stash(BatchScratch {
+        tracer.stash(BatchTrace {
+            clock: Arc::new(ManualClock::new()),
             pool_begin_us: 1000.0,
             pool_end_us: 1030.0,
             filter_end_us: 1040.0,

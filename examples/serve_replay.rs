@@ -65,7 +65,7 @@ use imars::serve::{
     chrome_export, exposition, replay_threaded, run_shard_node, CachePlacement, CachePolicy,
     ChaosPlan, ClusterConfig, ClusterOptions, FaultSpec, Placement, ReplayConfig, ReplayWorkload,
     ResilienceConfig, RuntimeConfig, ServeConfig, ServeEngine, ServeReport, Stage, StageExemplars,
-    ThreadedReplayConfig, TraceConfig, TraceLog,
+    ThreadedReplayConfig, TraceConfig, TraceLog, MAX_THREADS,
 };
 
 const NUM_ITEMS: usize = 8192;
@@ -217,6 +217,13 @@ fn main() {
     let smoke = args.iter().any(|arg| arg == "--smoke");
     let threads = parse_count(&args, "--threads");
     let mut shard_nodes = parse_count(&args, "--shards");
+    // Each count starts that many threads (over sockets, shard-node processes).
+    for (flag, count) in [("--threads", threads), ("--shards", shard_nodes)] {
+        if count > MAX_THREADS {
+            eprintln!("serve_replay: {flag} {count} is above the bound of {MAX_THREADS}");
+            std::process::exit(2);
+        }
+    }
     let uds = match args.iter().position(|arg| arg == "--transport") {
         None => false,
         Some(i) => match args.get(i + 1).map(String::as_str) {
