@@ -9,230 +9,13 @@
 //! a single-iteration timing is noise, so its rows report `skip (smoke)` instead of a
 //! ratio.
 //!
-//! The vendored serde has no deserializer backend, so this module carries a minimal
-//! recursive-descent JSON parser — enough for the harness's own output format (and any
-//! well-formed JSON; it is not a validator of exotic corner cases).
+//! Both sides are read with the workspace's one JSON parser, [`imars_serve::json::Json`],
+//! re-exported here as [`Json`] for the serving benchmark, which reads
+//! `BENCHMARK.json` and its result files through this path.
 
 use std::fmt::Write as _;
 
-/// A parsed JSON value (objects keep key order; duplicate keys keep the first).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number, as `f64`.
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parse a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup (`None` for non-objects or missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The bool value, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
-                    Json::Str(key) => key,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos)?;
-                if !fields.iter().any(|(k, _): &(String, Json)| *k == key) {
-                    fields.push((key, value));
-                }
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut out = String::new();
-            loop {
-                match bytes.get(*pos) {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(out));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match bytes.get(*pos) {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'/') => out.push('/'),
-                            Some(b'n') => out.push('\n'),
-                            Some(b't') => out.push('\t'),
-                            Some(b'r') => out.push('\r'),
-                            Some(b'b') => out.push('\u{8}'),
-                            Some(b'f') => out.push('\u{c}'),
-                            Some(b'u') => {
-                                let hex = bytes
-                                    .get(*pos + 1..*pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                    16,
-                                )
-                                .map_err(|_| "bad \\u escape")?;
-                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                                *pos += 4;
-                            }
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        *pos += 1;
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (the input is a &str, so boundaries
-                        // are valid).
-                        let start = *pos;
-                        *pos += 1;
-                        while *pos < bytes.len() && (bytes[*pos] & 0xC0) == 0x80 {
-                            *pos += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&bytes[start..*pos]).expect("valid UTF-8"),
-                        );
-                    }
-                }
-            }
-        }
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad number")?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {text:?} at byte {start}"))
-        }
-    }
-}
+pub use imars_serve::json::Json;
 
 /// One suite's bench medians, as loaded from a harness JSON summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -494,23 +277,6 @@ mod tests {
             suite.benches,
             vec![("a".to_string(), 120.5), ("b".to_string(), 325.0)]
         );
-    }
-
-    #[test]
-    fn json_parser_rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\": }",
-            "[1,]",
-            "{\"a\": 1} trailing",
-            "\"unterminated",
-            "{1: 2}",
-        ] {
-            assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
-        }
-        assert!(Json::parse("null").is_ok());
-        assert!(Json::parse("[true, false, null, -1.5e-3, \"\\u0041\\n\"]").is_ok());
     }
 
     #[test]

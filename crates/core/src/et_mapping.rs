@@ -11,14 +11,12 @@
 //! * "We use a 256 LSH signature length which requires 2 CMAs to store a single entry"
 //!   (the ItET rows carry the extra signature bits).
 
-use serde::{Deserialize, Serialize};
-
 use imars_fabric::FabricConfig;
 
 use crate::error::CoreError;
 
 /// Static description of one embedding table to be mapped.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EtSpec {
     /// Table name (for reporting).
     pub name: String,
@@ -50,7 +48,7 @@ impl EtSpec {
 }
 
 /// Where one embedding table landed in the hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TablePlacement {
     /// The mapped table.
     pub spec: EtSpec,
@@ -65,7 +63,7 @@ pub struct TablePlacement {
 }
 
 /// The memory-mapping summary the paper reports per workload in Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MappingSummary {
     /// Number of embedding tables mapped.
     pub tables: usize,
@@ -82,7 +80,7 @@ pub struct MappingSummary {
 }
 
 /// The full mapping of a workload's embedding tables onto the fabric.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EtMapping {
     placements: Vec<TablePlacement>,
     config_banks: usize,

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 use imars_fabric::Cost;
 use imars_gpu::GpuCost;
-use imars_serve::telemetry::escape;
+use imars_serve::json::escape;
 
 /// A configuration value: numeric axes (array size, radius, ...) or discrete labels
 /// (workload names, placement policies).
@@ -126,7 +126,7 @@ impl Study {
         &self.rows
     }
 
-    /// Serialize the study to JSON. The output is deterministic: identical studies
+    /// Render the study as JSON. The output is deterministic: identical studies
     /// produce byte-identical strings (floats are formatted with a fixed rule, maps keep
     /// insertion order).
     pub fn to_json(&self) -> String {
@@ -348,6 +348,7 @@ impl FomComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imars_serve::json::Json;
 
     fn sample_study() -> Study {
         let mut study = Study::new("unit_test_study", 42);
@@ -377,8 +378,7 @@ mod tests {
         assert!(a.contains("\"radius\": 100"));
         assert!(a.contains("\"recall\": 0.93"));
         assert!(!a.contains(",\n  ]"));
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
-        assert_eq!(a.matches('[').count(), a.matches(']').count());
+        Json::parse(&a).expect("study JSON parses");
     }
 
     #[test]

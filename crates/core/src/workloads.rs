@@ -5,15 +5,13 @@
 //! inference pools from each, the DNN stack shapes, the item-catalogue size and the
 //! serving shape (candidates per query, top-k).
 
-use serde::{Deserialize, Serialize};
-
 use imars_gpu::model::EtLookupWorkload;
 use imars_recsys::dlrm::criteo_cardinalities;
 
 use crate::et_mapping::EtSpec;
 
 /// Which paper workload a description refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// YouTubeDNN filtering stage on MovieLens-1M.
     MovieLensFiltering,
@@ -35,7 +33,7 @@ impl WorkloadKind {
 }
 
 /// One embedding table of a workload together with its per-inference pooling factor.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableUsage {
     /// Static description of the table (name, rows, LSH flag).
     pub spec: EtSpec,
@@ -44,7 +42,7 @@ pub struct TableUsage {
 }
 
 /// Full description of one evaluated workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecsysWorkload {
     /// Which workload this is.
     pub kind: WorkloadKind,

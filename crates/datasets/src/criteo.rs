@@ -10,14 +10,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use imars_recsys::dlrm::{criteo_cardinalities, DlrmSample};
 
 use crate::zipf::ZipfSampler;
 
 /// Configuration of the synthetic Criteo generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticCriteoConfig {
     /// Number of continuous features (13 in Criteo Kaggle).
     pub num_dense_features: usize,

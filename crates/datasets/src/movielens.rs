@@ -15,7 +15,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use imars_recsys::training::FilteringExample;
 use imars_recsys::youtube_dnn::UserProfile;
@@ -23,7 +22,7 @@ use imars_recsys::youtube_dnn::UserProfile;
 use crate::zipf::ZipfSampler;
 
 /// Configuration of the synthetic MovieLens generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticMovieLensConfig {
     /// Number of users (6,040 in MovieLens-1M).
     pub num_users: usize,
@@ -94,7 +93,7 @@ impl SyntheticMovieLensConfig {
 }
 
 /// One synthetic user: demographics plus the chronologically ordered watched items.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyntheticUser {
     /// User identifier (0-based).
     pub user_id: usize,
@@ -113,7 +112,7 @@ pub struct SyntheticUser {
 }
 
 /// Summary statistics of a generated dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MovieLensStats {
     /// Number of users.
     pub users: usize,
@@ -128,7 +127,7 @@ pub struct MovieLensStats {
 }
 
 /// A generated synthetic MovieLens-like dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticMovieLens {
     config: SyntheticMovieLensConfig,
     users: Vec<SyntheticUser>,

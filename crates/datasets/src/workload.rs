@@ -7,10 +7,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One inference query: which user to serve and how many candidates flow into ranking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InferenceQuery {
     /// Index of the user issuing the query.
     pub user_index: usize,
@@ -21,7 +20,7 @@ pub struct InferenceQuery {
 }
 
 /// Configuration of the workload generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of queries to generate.
     pub queries: usize,
@@ -50,7 +49,7 @@ impl WorkloadConfig {
 }
 
 /// A reproducible stream of inference queries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceWorkload {
     queries: Vec<InferenceQuery>,
 }

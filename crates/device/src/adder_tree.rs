@@ -12,14 +12,12 @@
 //! — dominant for the intra-bank tree — the long wires that haul the operands across CMAs
 //! and mats.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DeviceError;
 use crate::technology::TechnologyParams;
 use crate::wire::Wire;
 
 /// Figures of merit of one complete accumulation through an adder tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct AdderTreeFom {
     /// Energy of one full accumulation in picojoules.
     pub energy_pj: f64,
@@ -41,7 +39,7 @@ pub(crate) struct AdderTreeFom {
 /// makes the intra-bank tree (whose leaves are entire mats) an order of magnitude more
 /// expensive than the intra-mat tree (whose leaves are single CMAs), exactly the relation
 /// Table II of the paper shows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AdderTreeModel {
     tech: TechnologyParams,
     /// Word width in bits (256 for iMARS: 32 dimensions × int8).

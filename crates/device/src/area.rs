@@ -5,8 +5,6 @@
 //! of those trade-offs so the design-space exploration benches can reproduce the
 //! discussion of Sec. III-A.
 
-use serde::{Deserialize, Serialize};
-
 use crate::technology::TechnologyParams;
 
 /// Area of the 8-bit per-column GPCiM accumulator in µm² per column (~8 gates per
@@ -15,7 +13,7 @@ use crate::technology::TechnologyParams;
 pub const INT8_ACCUMULATOR_UM2_PER_COL: f64 = 8.0;
 
 /// Area breakdown of one CMA array including its peripherals, in square micrometres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CmaArea {
     /// Cell matrix area.
     pub cell_matrix_um2: f64,
@@ -41,7 +39,7 @@ impl CmaArea {
 }
 
 /// Area model covering CMAs, crossbars and the near-memory logic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaModel {
     tech: TechnologyParams,
 }

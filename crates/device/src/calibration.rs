@@ -13,8 +13,6 @@
 //! `[1/MAX_SCALE, MAX_SCALE]`: a large factor means the analytical model no longer tracks
 //! the reference and silently scaling it would hide a modelling bug.
 
-use serde::{Deserialize, Serialize};
-
 use crate::characterization::{ArrayFom, CmaFom, OperationFom};
 use crate::error::DeviceError;
 
@@ -23,7 +21,7 @@ pub(crate) const MAX_SCALE: f64 = 5.0;
 
 /// One calibrated quantity: the analytical value, the published reference and the applied
 /// scale factor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationEntry {
     /// Human-readable name of the quantity (e.g. `"cma.read.energy_pj"`).
     pub quantity: String,
@@ -36,7 +34,7 @@ pub struct CalibrationEntry {
 }
 
 /// The full set of calibration factors applied to an [`ArrayFom`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CalibrationReport {
     /// One entry per calibrated scalar.
     pub entries: Vec<CalibrationEntry>,

@@ -14,13 +14,11 @@
 //!   current is compared against multiple references to produce bitwise logic, the
 //!   building block of in-memory addition.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fefet::{FeFet, FeFetState};
 use crate::technology::TechnologyParams;
 
 /// Ternary symbol stored by a CMA cell when used as a TCAM entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TernaryBit {
     /// Binary zero.
     Zero,
@@ -63,7 +61,7 @@ impl TernaryBit {
 ///
 /// The `true_device` stores the bit, the `complement_device` stores its complement; a
 /// don't-care is encoded by erasing both devices so that neither pulls the matchline down.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CmaCell {
     true_device: FeFet,
     complement_device: FeFet,
@@ -147,7 +145,7 @@ impl CmaCell {
 /// The crossbar arrays of iMARS execute the fully connected DNN layers; each cell encodes
 /// a quantized weight as a partial-polarization state and its read current contributes to
 /// the column's multiply-accumulate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossbarCell {
     device: FeFet,
     /// Quantized weight the cell was programmed with, in `[-1.0, 1.0]` (normalized).

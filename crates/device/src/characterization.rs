@@ -17,8 +17,6 @@
 //! driven by exactly the numbers the paper used while the analytical path remains
 //! available for technology exploration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::adder_tree::AdderTreeModel;
 use crate::calibration::{calibrate, CalibrationReport};
 use crate::crossbar::CrossbarArrayModel;
@@ -28,7 +26,7 @@ use crate::technology::TechnologyParams;
 use crate::wire::{ArrayWires, Wire};
 
 /// Geometry of a memory array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayGeometry {
     /// Number of rows.
     pub rows: usize,
@@ -49,7 +47,7 @@ impl ArrayGeometry {
 }
 
 /// Energy/latency figure of merit of a single array-level operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperationFom {
     /// Energy per operation in picojoules.
     pub energy_pj: f64,
@@ -78,7 +76,7 @@ impl OperationFom {
 }
 
 /// Figures of merit of the four CMA access modes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CmaFom {
     /// Programming one 256-cell row (RAM mode write).
     pub write: OperationFom,
@@ -91,7 +89,7 @@ pub struct CmaFom {
 }
 
 /// The complete array-level characterization consumed by the architectural simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrayFom {
     /// CMA geometry the figures refer to.
     pub cma_geometry: ArrayGeometry,
@@ -127,7 +125,7 @@ impl ArrayFom {
 }
 
 /// Derives array-level figures of merit from the circuit models of this crate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayCharacterizer {
     tech: TechnologyParams,
     cma_geometry: ArrayGeometry,

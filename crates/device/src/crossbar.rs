@@ -8,14 +8,12 @@
 //! activation, while the energy stays small because each row event only charges one
 //! wordline and the column integrators.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DeviceError;
 use crate::technology::TechnologyParams;
 use crate::wire::Wire;
 
 /// Figures of merit for one matrix-vector multiplication on a crossbar array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CrossbarFom {
     /// Energy of one full MVM in picojoules.
     pub energy_pj: f64,
@@ -26,7 +24,7 @@ pub(crate) struct CrossbarFom {
 }
 
 /// Device-level crossbar array model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CrossbarArrayModel {
     tech: TechnologyParams,
     rows: usize,

@@ -16,13 +16,11 @@
 //! [`FeFet`] implements exactly that: a domain ensemble with a coercive-voltage
 //! distribution, pulse-driven switching, and threshold/drain-current read-out.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DeviceError;
 use crate::technology::TechnologyParams;
 
 /// Logical storage state of a FeFET after a full program or erase operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeFetState {
     /// Erased: negative remnant polarization, low threshold voltage, device conducts at
     /// read bias. Conventionally stores logic `1`.
@@ -52,7 +50,7 @@ impl FeFetState {
 ///
 /// Positive amplitudes program the device towards [`FeFetState::HighVt`]; negative
 /// amplitudes erase it towards [`FeFetState::LowVt`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolarizationPulse {
     /// Pulse amplitude in volts (signed).
     pub amplitude_v: f64,
@@ -93,7 +91,7 @@ impl PolarizationPulse {
 /// coercive voltage drawn from a deterministic spread around the nominal coercive voltage.
 /// The normalized polarization is the mean of the domain polarities; it maps linearly onto
 /// the threshold-voltage window `[vth_low, vth_high]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeFet {
     tech: TechnologyParams,
     /// Per-domain polarity: `+1.0` (programmed towards high Vt) or `-1.0` (erased).

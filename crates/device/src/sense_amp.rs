@@ -9,13 +9,11 @@
 //!   `1T + 1FeFET` cell. The reference is programmable, which is how the threshold
 //!   (fixed-radius) Hamming-distance match is realized.
 
-use serde::{Deserialize, Serialize};
-
 use crate::technology::TechnologyParams;
 use crate::wire::{ArrayWires, Wire};
 
 /// Voltage-mode sense amplifier used for RAM-mode reads and GPCiM logic outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RamSenseAmp {
     tech: TechnologyParams,
 }
@@ -41,7 +39,7 @@ impl RamSenseAmp {
 
 /// Current-mode sense amplifier with a programmable dummy-cell reference, used for
 /// threshold (fixed-radius) matching in TCAM mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CamSenseAmp {
     tech: TechnologyParams,
     /// Hamming-distance threshold the reference current is programmed to. A row whose
@@ -102,7 +100,7 @@ impl CamSenseAmp {
 }
 
 /// Searchline / wordline / bitline driver bank for an array of a given geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DriverBank {
     tech: TechnologyParams,
     wires: ArrayWires,

@@ -14,15 +14,13 @@
 //! * energy — picojoules (`_pj`) or femtojoules (`_fj`)
 //! * time — nanoseconds (`_ns`)
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DeviceError;
 
 /// Process/technology constants used by every circuit-level model in this crate.
 ///
 /// Construct with [`TechnologyParams::predictive_45nm`] for the paper's operating point,
 /// or start from that and modify fields to explore other technology corners.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechnologyParams {
     /// Technology node in nanometres (informational; used for area scaling).
     pub node_nm: f64,

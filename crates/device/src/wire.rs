@@ -7,12 +7,10 @@
 //! C_load)`. Switching energy is `(C_wire + C_load)·V²` for a full-swing transition, with
 //! an activity factor applied by the caller.
 
-use serde::{Deserialize, Serialize};
-
 use crate::technology::TechnologyParams;
 
 /// A routed wire with distributed RC parasitics plus an attached lumped load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wire {
     /// Physical length in micrometres.
     pub length_um: f64,
@@ -23,7 +21,7 @@ pub struct Wire {
 }
 
 /// Energy/delay figures for one full-swing transition of a [`Wire`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct WireTransition {
     /// Switching energy in femtojoules.
     pub energy_fj: f64,
@@ -73,7 +71,7 @@ impl Wire {
 }
 
 /// Convenience constructors for the standard array wires of a CMA of a given geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ArrayWires {
     /// Number of rows in the array.
     pub rows: usize,

@@ -18,13 +18,11 @@
 //!
 //! The design-space bench sweeps this knob against the pooling saturation error.
 
-use serde::{Deserialize, Serialize};
-
 use imars_device::area::INT8_ACCUMULATOR_UM2_PER_COL;
 use imars_device::characterization::OperationFom;
 
 /// A GPCiM accumulator of a given bit width (8 = the paper's design point).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GpcimAccumulator {
     bits: u32,
 }

@@ -1,8 +1,6 @@
 //! A CMA bank: `M` mats plus the intra-bank adder tree, the IBC network that feeds it and
 //! the controller that sequences mat outputs (Fig. 3(b)).
 
-use serde::{Deserialize, Serialize};
-
 use imars_device::characterization::ArrayFom;
 
 use crate::config::FabricConfig;
@@ -13,7 +11,7 @@ use crate::interconnect::IbcNetwork;
 use crate::mat::{Mat, MatSlot};
 
 /// Location of one stored embedding row inside a bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BankSlot {
     /// Index of the mat inside the bank.
     pub mat: usize,
@@ -34,7 +32,7 @@ impl BankSlot {
 }
 
 /// A bank of `M` mats with an intra-bank adder tree of fan-in 4 (paper design point).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CmaBank {
     mats: Vec<Mat>,
     fom: ArrayFom,

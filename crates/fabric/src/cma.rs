@@ -15,8 +15,6 @@
 //! Every operation returns an [`Outcome`] carrying both the functional result and the
 //! energy/latency charged from the array-level figures of merit.
 
-use serde::{Deserialize, Serialize};
-
 use imars_device::characterization::ArrayFom;
 
 use crate::accumulator::GpcimAccumulator;
@@ -76,7 +74,7 @@ pub fn saturating_add_packed_i8(a: u64, b: u64) -> u64 {
 /// Pooling over a `PackedTable` runs the same [`saturating_add_packed_i8`] kernel the
 /// functional CMA simulator uses, so the two produce bit-identical int8 sums; it serves
 /// as the int8 software baseline in the benchmark suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackedTable {
     rows: usize,
     dim: usize,
@@ -228,7 +226,7 @@ pub fn hamming_distance(a: &[u64], b: &[u64]) -> u32 {
 }
 
 /// A single configurable memory array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CmaArray {
     rows: usize,
     cols: usize,

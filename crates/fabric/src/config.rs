@@ -1,8 +1,6 @@
 //! Fabric configuration: the design parameters the paper calls B, M, C and R, plus data
 //! formats and interconnect parameters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::FabricError;
 
 /// Interconnect cost parameters for the RSC bus and the IBC network.
@@ -11,7 +9,7 @@ use crate::error::FabricError;
 /// folded into the system-level results); these defaults are derived from the wire models
 /// of `imars-device` at millimetre scale and kept explicit so the communication overhead
 /// can be swept in the design-space benches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterconnectParams {
     /// Width of the RecSys communication (RSC) bus in bits.
     pub rsc_width_bits: usize,
@@ -47,7 +45,7 @@ impl Default for InterconnectParams {
 }
 
 /// Top-level configuration of the iMARS ET fabric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FabricConfig {
     /// Number of CMA banks (`B`). One sparse feature maps to one bank.
     pub banks: usize,

@@ -9,21 +9,19 @@
 //! [`Controller::schedule_accumulation`] produces exactly that deterministic schedule and
 //! the (small) control cost of sequencing it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::InterconnectParams;
 use crate::cost::{Cost, CostComponent, Outcome};
 
 /// One round of intra-bank accumulation: the mats whose outputs are combined in that
 /// round, in transmission order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AccumulationRound {
     /// Mat indices contributing to this round.
     pub mats: Vec<usize>,
 }
 
 /// Deterministic, counter-based controller for bank activation and IBC sequencing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Controller {
     params: InterconnectParams,
     /// Fan-in of the intra-bank adder tree (group size per round).

@@ -11,12 +11,10 @@
 use std::collections::BTreeMap;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 use imars_device::characterization::OperationFom;
 
 /// Hardware components that costs are attributed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CostComponent {
     /// CMA RAM-mode row writes.
     CmaWrite,
@@ -41,7 +39,7 @@ pub enum CostComponent {
 }
 
 /// An energy (picojoules) / latency (nanoseconds) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Cost {
     /// Energy in picojoules.
     pub energy_pj: f64,
@@ -116,7 +114,7 @@ impl AddAssign for Cost {
 }
 
 /// Cost attribution per hardware component.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CostBreakdown {
     per_component: BTreeMap<CostComponent, Cost>,
 }
@@ -170,7 +168,7 @@ impl CostBreakdown {
 }
 
 /// The result of a fabric operation: the functional value plus the cost it incurred.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Outcome<T> {
     /// Functional result of the operation.
     pub value: T,

@@ -10,8 +10,6 @@
 //! accuracy are studied at the algorithm level in `imars-recsys` — while the cost model
 //! charges one crossbar MatMul figure of merit per occupied tile.
 
-use serde::{Deserialize, Serialize};
-
 use imars_device::characterization::ArrayFom;
 
 #[cfg(test)]
@@ -21,7 +19,7 @@ use crate::error::FabricError;
 
 /// One crossbar array holding a `rows × cols` tile of a layer's weight matrix.
 #[cfg(test)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CrossbarArray {
     rows: usize,
     cols: usize,
@@ -123,7 +121,7 @@ impl CrossbarArray {
 }
 
 /// A bank of crossbar arrays executing one DNN stack layer by layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossbarBank {
     array_rows: usize,
     array_cols: usize,

@@ -7,13 +7,11 @@
 //! 128 bytes (four 256-bit mat outputs), which is exactly the fan-in of the intra-bank
 //! adder tree, so one IBC beat feeds one intra-bank accumulation round.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::InterconnectParams;
 use crate::cost::{Cost, CostComponent, Outcome};
 
 /// The RecSys communication bus connecting ET banks, crossbar banks and buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RscBus {
     params: InterconnectParams,
 }
@@ -73,7 +71,7 @@ impl RscBus {
 }
 
 /// The intra-bank communication network moving mat outputs to the intra-bank adder tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IbcNetwork {
     params: InterconnectParams,
 }

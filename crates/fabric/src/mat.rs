@@ -1,8 +1,6 @@
 //! A mat: `C` CMAs working in parallel plus the intra-mat adder tree that combines their
 //! outputs (Fig. 3(b), middle).
 
-use serde::{Deserialize, Serialize};
-
 use imars_device::characterization::ArrayFom;
 
 use crate::cma::CmaArray;
@@ -11,7 +9,7 @@ use crate::cost::{Cost, CostBreakdown, CostComponent, Outcome};
 use crate::error::FabricError;
 
 /// Location of one stored embedding row inside a mat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatSlot {
     /// Index of the CMA inside the mat.
     pub cma: usize,
@@ -20,7 +18,7 @@ pub struct MatSlot {
 }
 
 /// A mat of `C` independent CMAs plus the intra-mat adder tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mat {
     cmas: Vec<CmaArray>,
     fom: ArrayFom,

@@ -4,12 +4,10 @@
 //! kernel-launch/dispatch overhead plus (for the embedding kernels) scattered DRAM
 //! gathers. Each model here decomposes one paper-measured operation into those terms.
 
-use serde::{Deserialize, Serialize};
-
 use crate::specs::GpuSpecs;
 
 /// Latency (µs) and energy (µJ) of one GPU operation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GpuCost {
     /// Latency in microseconds.
     pub latency_us: f64,
@@ -36,7 +34,7 @@ impl GpuCost {
 }
 
 /// Description of one embedding-table access pattern of a lookup kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableAccess {
     /// Number of rows in the table (drives nothing directly but kept for reporting).
     pub rows: usize,

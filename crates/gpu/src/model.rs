@@ -6,14 +6,12 @@
 //! per-stage operation breakdown of Fig. 2 and the end-to-end MovieLens / Criteo queries
 //! of Sec. IV-C3.
 
-use serde::{Deserialize, Serialize};
-
 use crate::kernels::{self, GpuCost, TableAccess};
 use crate::specs::GpuSpecs;
 
 /// Workload description of one embedding-lookup stage: the tables it touches and how many
 /// rows it gathers from each for a single input.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EtLookupWorkload {
     /// Per-table access patterns.
     pub tables: Vec<TableAccess>,
@@ -85,7 +83,7 @@ impl EtLookupWorkload {
 }
 
 /// Per-operation breakdown of one stage's run time (the data behind Fig. 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageBreakdown {
     /// `(operation name, latency in µs)` pairs.
     pub operations: Vec<(String, f64)>,
@@ -108,7 +106,7 @@ impl StageBreakdown {
 }
 
 /// The calibrated analytical GPU baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     specs: GpuSpecs,
     /// Effective batching factor the baseline ranking implementation achieves when scoring

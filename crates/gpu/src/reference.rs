@@ -5,10 +5,8 @@
 //! small tolerance of each), and they are what `EXPERIMENTS.md` quotes as the
 //! "paper-reported" column next to the model's "measured" column.
 
-use serde::{Deserialize, Serialize};
-
 /// A latency (µs) / energy (µJ) pair as reported by the paper for the GPU baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReportedGpuCost {
     /// Latency in microseconds.
     pub latency_us: f64,
@@ -71,7 +69,7 @@ pub const RANKING_BREAKDOWN: [(&str, f64); 3] =
 
 /// Paper-reported iMARS-over-GPU improvement factors used as cross-checks by the
 /// experiment harness (latency ×, energy ×).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReportedSpeedup {
     /// Latency improvement factor (GPU / iMARS).
     pub latency: f64,
@@ -119,7 +117,7 @@ pub const SPEEDUP_NNS: ReportedSpeedup = ReportedSpeedup {
 };
 
 /// Sec. IV-B: filtering hit rates under the three evaluated configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReportedHitRates {
     /// FP32 embeddings, cosine distance.
     pub fp32_cosine: f64,

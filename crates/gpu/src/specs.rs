@@ -1,10 +1,8 @@
 //! Hardware specification of the GPU baseline.
 
-use serde::{Deserialize, Serialize};
-
 /// Specification of the GPU used as the baseline (a GTX/RTX 1080-class part, as in the
 /// paper's evaluation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpecs {
     /// Peak single-precision throughput in GFLOP/s.
     pub peak_gflops: f64,

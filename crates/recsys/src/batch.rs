@@ -25,12 +25,10 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RecsysError;
 
 /// How pooled rows are combined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolingMode {
     /// Element-wise sum of the selected rows.
     Sum,
@@ -43,7 +41,7 @@ pub enum PoolingMode {
 ///
 /// Indices are `u32` (every embedding table in the paper has far fewer than 2³² rows),
 /// which halves the index-buffer traffic compared to `usize` on 64-bit targets.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolingBatch {
     indices: Vec<u32>,
     offsets: Vec<usize>,

@@ -12,8 +12,6 @@
 //! * a **top MLP** over the concatenation of the dense embedding and the interactions —
 //!   hidden sizes 256-64-1 in Table I — ending in a sigmoid CTR output.
 
-use serde::{Deserialize, Serialize};
-
 use crate::batch::par_map;
 use crate::embedding::EmbeddingTable;
 use crate::error::RecsysError;
@@ -22,7 +20,7 @@ use crate::nns::dot;
 use crate::quantization::QuantizedTable;
 
 /// Structural configuration of the DLRM model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DlrmConfig {
     /// Number of dense (continuous) features (13 for Criteo Kaggle).
     pub num_dense_features: usize,
@@ -131,7 +129,7 @@ pub fn criteo_cardinalities() -> Vec<usize> {
 
 /// One Criteo-style sample: 13 normalized dense features and one categorical value per
 /// sparse field.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DlrmSample {
     /// Normalized dense feature values.
     pub dense: Vec<f32>,
@@ -161,7 +159,7 @@ pub struct DlrmSampleView<'a> {
 }
 
 /// The DLRM model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dlrm {
     config: DlrmConfig,
     bottom_mlp: Mlp,

@@ -10,7 +10,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::batch::{par_chunks, PoolingBatch, PoolingMode};
 use crate::error::RecsysError;
@@ -38,7 +37,7 @@ impl RowIndex for usize {
 }
 
 /// A dense embedding table of `rows × dim` 32-bit floating-point parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingTable {
     rows: usize,
     dim: usize,

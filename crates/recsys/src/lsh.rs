@@ -30,13 +30,12 @@ use imars_fabric::simd::{active_level, SimdLevel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, StandardNormal};
-use serde::{Deserialize, Serialize};
 
 use crate::error::RecsysError;
 use crate::topk::top_k_by_score;
 
 /// A random-hyperplane LSH hasher producing fixed-length bit signatures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomHyperplaneLsh {
     dim: usize,
     bits: usize,

@@ -49,12 +49,11 @@
 use imars_fabric::simd::{active_level, SimdLevel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::RecsysError;
 
 /// Activation applied to a layer's output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Identity (no activation).
     Linear,
@@ -105,7 +104,7 @@ fn dot_blocked(w: &[f32], x: &[f32]) -> f32 {
 }
 
 /// One dense layer: `outputs = activation(W x + b)` with `W` of shape `out × in`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct DenseLayer {
     inputs: usize,
     outputs: usize,
@@ -306,7 +305,7 @@ fn forward_panels_avx2(layer: &DenseLayer, input: &[f32], count: usize, output: 
 }
 
 /// A multi-layer perceptron.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<DenseLayer>,
 }

@@ -12,8 +12,6 @@
 //! This module provides the exact-search reference implementations; the LSH signatures
 //! themselves come from [`crate::lsh`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::batch::par_runs;
 use crate::error::RecsysError;
 use crate::topk::top_k_by_score;
@@ -39,14 +37,14 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// An exact nearest-neighbour index over a set of item vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExactIndex {
     dim: usize,
     items: Vec<Vec<f32>>,
 }
 
 /// Distance/similarity function used by the exact index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Rank by cosine similarity (higher is closer).
     Cosine,

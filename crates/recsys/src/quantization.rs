@@ -7,13 +7,11 @@
 //! accuracy experiment of Sec. IV-B needs (int8 + cosine distance loses only ~0.6 % hit
 //! rate versus FP32).
 
-use serde::{Deserialize, Serialize};
-
 use crate::embedding::EmbeddingTable;
 use crate::error::RecsysError;
 
 /// Parameters of a symmetric int8 quantizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantizationParams {
     /// Scale such that `quantized = round(value / scale)`.
     pub scale: f32,
@@ -51,7 +49,7 @@ impl QuantizationParams {
 }
 
 /// An embedding table quantized to int8 with a single per-table scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedTable {
     rows: usize,
     dim: usize,

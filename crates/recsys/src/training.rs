@@ -9,14 +9,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::RecsysError;
 use crate::youtube_dnn::{UserProfile, YoutubeDnn};
 
 /// One training example for the filtering tower: a user profile and the held-in positive
 /// item the profile should retrieve.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilteringExample {
     /// The user profile (the positive item must NOT appear in its history).
     pub profile: UserProfile,
@@ -25,7 +24,7 @@ pub struct FilteringExample {
 }
 
 /// Hyper-parameters of the BPR training loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingConfig {
     /// Number of passes over the training examples.
     pub epochs: usize,
@@ -49,7 +48,7 @@ impl Default for TrainingConfig {
 }
 
 /// Per-epoch training telemetry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingReport {
     /// Mean BPR loss of each epoch, in order.
     pub epoch_losses: Vec<f32>,

@@ -12,8 +12,6 @@
 //!   ranking-only context table) and a DNN stack with hidden sizes 128-1 producing the
 //!   click-through-rate of one user/item pair.
 
-use serde::{Deserialize, Serialize};
-
 use crate::batch::{par_chunks, par_runs};
 use crate::embedding::EmbeddingTable;
 use crate::error::RecsysError;
@@ -21,7 +19,7 @@ use crate::mlp::{Activation, Mlp};
 use crate::nns::{dot, ExactIndex, Metric};
 
 /// Structural configuration of the YouTubeDNN model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YoutubeDnnConfig {
     /// Number of items (movies).
     pub num_items: usize,
@@ -111,7 +109,7 @@ impl YoutubeDnnConfig {
 }
 
 /// The sparse profile of one user, as consumed by both stages.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct UserProfile {
     /// Multi-hot watch history (item indices).
     pub history: Vec<usize>,
@@ -128,7 +126,7 @@ pub struct UserProfile {
 }
 
 /// The YouTubeDNN model: embedding tables plus the two DNN towers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YoutubeDnn {
     config: YoutubeDnnConfig,
     /// ItET: item embeddings searched by the filtering NNS and looked up by ranking.

@@ -14,12 +14,10 @@
 //! clock that runs by itself: a worker with nothing to serve never waits for a
 //! deadline, it [`drain`](DynamicBatcher::drain)s what is pending at once.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ServeError;
 
 /// The coalescing policy: flush on size or on deadline, whichever comes first.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPolicy {
     /// Maximum requests per batch (size flush threshold).
     pub max_batch: usize,
@@ -55,7 +53,7 @@ impl BatchPolicy {
 }
 
 /// Why a batch was flushed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushReason {
     /// The batch reached `max_batch` requests.
     Size,

@@ -42,10 +42,8 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 /// Replacement/admission policy of a [`HotRowCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CachePolicy {
     /// CLOCK (second chance): the hardware-friendly LRU approximation. The default,
     /// and the policy every pre-existing configuration maps to.
@@ -103,7 +101,7 @@ impl CachePolicy {
 }
 
 /// Where the hot-row cache lives relative to the shard fan-out.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CachePlacement {
     /// One cache at the router, probed before any shard is contacted (the original
     /// single-cache layout). Hits save the row fetch *and* the shard hop.

@@ -32,7 +32,6 @@ use imars_recsys::dlrm::{Dlrm, DlrmSampleView, DlrmScratch};
 use imars_recsys::embedding::EmbeddingTable;
 use imars_recsys::lsh::RandomHyperplaneLsh;
 use imars_recsys::quantization::{QuantizationParams, QuantizedTable};
-use serde::{Deserialize, Serialize};
 
 use imars_datasets::workload::InferenceQuery;
 
@@ -53,7 +52,7 @@ use crate::trace::{BatchTrace, TraceConfig, TraceLog, Tracer};
 use std::sync::Arc;
 
 /// Numeric format of the item embedding rows the engine serves from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServePrecision {
     /// Full-precision rows, plain f32 accumulation (the GPU-baseline format).
     Fp32,
@@ -63,7 +62,7 @@ pub enum ServePrecision {
 }
 
 /// Configuration of a [`ServeEngine`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of embedding shards (contiguous row ranges).
     pub shards: usize,
@@ -137,7 +136,7 @@ impl ServeConfig {
 
 /// One timed serving request: the inference query plus the features the engine needs to
 /// execute it (multi-hot item history and DLRM categorical values).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeRequest {
     /// Request id (trace position).
     pub id: u64,
@@ -152,7 +151,7 @@ pub struct ServeRequest {
 }
 
 /// The served result of one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeResponse {
     /// Request id the response answers.
     pub id: u64,

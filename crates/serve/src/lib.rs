@@ -49,6 +49,8 @@
 //!   shard-node-side server spans propagated over the UDS trace context, seeded
 //!   head-based sampling into a bounded log, a slow-query log, and a
 //!   Chrome-trace-event JSON exporter (Perfetto-loadable);
+//! * [`json`] — the workspace's one JSON string escaper and one JSON parser
+//!   (depth-bounded), shared by every artifact writer and reader;
 //! * [`metrics`] — the live metrics plane: lock-cheap per-window counts and a latency
 //!   histogram scraped into fixed event-time windows by a deterministic
 //!   [`MetricsScraper`], a per-window time-series section in the report JSON,
@@ -65,6 +67,7 @@ pub mod clock;
 pub mod cluster;
 pub mod engine;
 pub mod error;
+pub mod json;
 pub mod metrics;
 pub mod placement;
 pub mod queue;

@@ -23,6 +23,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::u64_list;
 use crate::telemetry::{LatencyHistogram, ServeReport};
 use crate::trace::{Stage, TraceLog};
 
@@ -374,10 +375,6 @@ impl MetricsSeries {
         let _ = writeln!(json, "{pad}  \"interval_us\": {:.3},", self.interval_us);
         let _ = writeln!(json, "{pad}  \"shards\": {},", self.shards);
         let _ = writeln!(json, "{pad}  \"windows\": [");
-        let list = |values: &[u64]| -> String {
-            let items: Vec<String> = values.iter().map(u64::to_string).collect();
-            format!("[{}]", items.join(", "))
-        };
         for (i, w) in self.windows.iter().enumerate() {
             let _ = write!(
                 json,
@@ -394,9 +391,9 @@ impl MetricsSeries {
                 w.cache_misses,
                 w.cache_hit_rate(),
                 w.queue_depth,
-                list(&w.shard_timeouts),
-                list(&w.shard_retries),
-                list(&w.shard_promotions),
+                u64_list(&w.shard_timeouts),
+                u64_list(&w.shard_retries),
+                u64_list(&w.shard_promotions),
             );
             let _ = writeln!(
                 json,
@@ -701,6 +698,7 @@ pub fn exposition(report: &ServeReport, log: Option<&TraceLog>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn scraping_buckets_events_by_event_time_and_merges_commutatively() {
@@ -796,8 +794,7 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        Json::parse(&json).expect("series JSON parses");
     }
 
     #[test]

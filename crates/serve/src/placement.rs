@@ -42,12 +42,10 @@
 //! assert_eq!(split.home, 0); // shard 0 serves the plurality of the batch
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ServeError;
 
 /// The placement policy assigning catalogue rows to shard nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Contiguous row ranges in catalogue-id order.
     Range,

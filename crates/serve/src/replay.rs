@@ -10,7 +10,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use imars_datasets::{InferenceWorkload, WorkloadConfig, ZipfSampler};
 
@@ -18,7 +17,7 @@ use crate::engine::ServeRequest;
 use crate::error::ServeError;
 
 /// Configuration of a replay trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayConfig {
     /// Number of queries to replay.
     pub queries: usize,

@@ -13,6 +13,7 @@ use imars_fabric::cost::{Cost, CostBreakdown};
 
 use crate::batcher::BatchPolicy;
 use crate::cache::CacheStats;
+use crate::json::{escape, u64_list};
 
 /// Smallest distinguishable latency (one bucket below this records as this).
 const BASE_US: f64 = 0.01;
@@ -735,8 +736,7 @@ impl ServeReport {
         s
     }
 
-    /// JSON summary in the bench-harness style (hand-rolled: the vendored serde has no
-    /// serializer backend).
+    /// JSON summary in the bench-harness style, written by hand in a fixed layout.
     pub fn to_json(&self) -> String {
         let t = &self.telemetry;
         let mut json = String::new();
@@ -830,10 +830,6 @@ impl ServeReport {
             let _ = writeln!(json, "  }},");
         }
         if let Some(cluster) = &self.cluster {
-            let list = |values: &[u64]| -> String {
-                let items: Vec<String> = values.iter().map(u64::to_string).collect();
-                format!("[{}]", items.join(", "))
-            };
             let _ = writeln!(json, "  \"cluster\": {{");
             let _ = writeln!(json, "    \"shards\": {},", cluster.shards);
             let _ = writeln!(
@@ -870,27 +866,27 @@ impl ServeReport {
             let _ = writeln!(
                 json,
                 "    \"shard_lookups\": {},",
-                list(&cluster.shard_lookups)
+                u64_list(&cluster.shard_lookups)
             );
             let _ = writeln!(
                 json,
                 "    \"shard_rejections\": {},",
-                list(&cluster.shard_rejections)
+                u64_list(&cluster.shard_rejections)
             );
             let _ = writeln!(
                 json,
                 "    \"shard_queue_depth_max\": {},",
-                list(&cluster.shard_queue_depth_max)
+                u64_list(&cluster.shard_queue_depth_max)
             );
             let _ = writeln!(
                 json,
                 "    \"shard_cache_hits\": {},",
-                list(&cluster.shard_cache_hits)
+                u64_list(&cluster.shard_cache_hits)
             );
             let _ = writeln!(
                 json,
                 "    \"shard_cache_misses\": {},",
-                list(&cluster.shard_cache_misses)
+                u64_list(&cluster.shard_cache_misses)
             );
             let _ = writeln!(
                 json,
@@ -977,31 +973,10 @@ impl ServeReport {
     }
 }
 
-/// Escape a string for embedding in hand-rolled JSON: backslash, quote, and every
-/// control character in `\u{0000}`–`\u{001f}` (newlines and tabs would otherwise emit
-/// invalid JSON). The workspace's one JSON string escaper: the bench harness and the
-/// study reports write their names through it too.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn histogram_quantiles_bracket_known_data() {
@@ -1175,8 +1150,7 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        Json::parse(&json).expect("report JSON parses");
         assert!(json.contains("unit \\\"test\\\""));
         assert!(
             !json.contains("\"runtime\""),
@@ -1305,7 +1279,7 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        Json::parse(&json).expect("report JSON parses");
         let text = report.summary();
         assert!(text.contains("3 workers"));
         assert!(text.contains("7 rejected"));
@@ -1390,8 +1364,7 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        Json::parse(&json).expect("report JSON parses");
         let text = report.summary();
         assert!(text.contains("4 shard nodes"));
         assert!(text.contains("cross-shard hops"));
@@ -1440,7 +1413,7 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        Json::parse(&json).expect("report JSON parses");
         let text = report.summary();
         assert!(
             text.contains("fault tolerance: 3 timeouts, 4 retries, 2 hedges (1 won), 2 promotions")
@@ -1450,17 +1423,6 @@ mod tests {
 
     #[test]
     fn escape_handles_control_characters() {
-        assert_eq!(escape(r#"plain"#), "plain");
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("line1\nline2"), "line1\\nline2");
-        assert_eq!(escape("tab\there"), "tab\\there");
-        assert_eq!(escape("cr\rhere"), "cr\\rhere");
-        assert_eq!(escape("bell\u{0007}null\u{0000}"), "bell\\u0007null\\u0000");
-        assert_eq!(escape("\u{001f}"), "\\u001f");
-        assert_eq!(escape("line1\nline2\tend\r"), "line1\\nline2\\tend\\r");
-        assert_eq!(escape("bell\u{7}"), "bell\\u0007");
-        // 0x20 and above pass through.
-        assert_eq!(escape("ünïcode ok"), "ünïcode ok");
         // A report named with embedded newlines still emits valid JSON: no raw control
         // characters inside the produced string literal.
         let report = ServeReport {
@@ -1478,7 +1440,11 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"suite\": \"bad\\nname\\twith\\u0001controls\","));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let parsed = Json::parse(&json).expect("report JSON parses");
+        assert_eq!(
+            parsed.get("suite").and_then(Json::as_str),
+            Some(report.name.as_str())
+        );
     }
 
     #[test]
@@ -1518,8 +1484,7 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"buckets\": [["), "bucket pairs in {json}");
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        Json::parse(&json).expect("report JSON parses");
     }
 
     #[test]
@@ -1615,8 +1580,7 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        Json::parse(&json).expect("report JSON parses");
         let text = report.summary();
         assert!(text.contains("stage breakdown (10 queries sampled"));
         assert!(text.contains("% cluster_fetch"), "{text}");

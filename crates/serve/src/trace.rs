@@ -21,7 +21,8 @@
 use std::sync::Arc;
 
 use crate::clock::{Clock, WallClock};
-use crate::telemetry::{escape, StageBreakdown};
+use crate::json::escape;
+use crate::telemetry::StageBreakdown;
 
 /// Configuration of the tracing layer. Tracing is off unless
 /// [`ServeEngine::enable_tracing`](crate::engine::ServeEngine::enable_tracing) is called
@@ -789,6 +790,7 @@ pub fn chrome_export<'a>(sections: impl IntoIterator<Item = (&'a str, &'a TraceL
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::json::Json;
 
     fn trace(id: u64, start_us: f64, end_us: f64) -> QueryTrace {
         QueryTrace {
@@ -903,12 +905,7 @@ mod tests {
         let json = chrome_export([("section \"a\"\n", &log)]);
         assert!(json.starts_with("{\"traceEvents\":[\n"));
         assert!(json.ends_with("\n]}\n"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        Json::parse(&json).expect("Chrome trace parses");
         assert!(!json.contains("section \"a\"\n\""), "name must be escaped");
         assert!(json.contains("\\\"a\\\"\\n"));
         assert!(json.contains("\"ph\":\"M\""));

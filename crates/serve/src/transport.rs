@@ -112,7 +112,7 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Serialize into length-prefixed wire bytes.
+    /// Encode into length-prefixed wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         encode_frame(self.kind, self.shard, self.tag, &self.payload)
     }
